@@ -2,6 +2,16 @@
 
 Predictions are continuous maps in [0, 1]; ground truths are binary.
 All arithmetic is float64 with epsilon 1e-8 in denominators.
+
+F and E score the binary maps ``pred >= t``, at one adaptive threshold or
+averaged over 255 uniform ones.  Neither rescans the map per threshold: one
+pass bins every pixel by the number of thresholds it reaches, per
+ground-truth class, and cumulative sums of those two histograms give the TP
+and FP counts at every threshold, as PySODMetrics does
+(https://github.com/lartpang/PySODMetrics).  F follows from the counts
+directly.  On a binary map the enhanced-alignment term of E (Fan et al.,
+arXiv:1805.10421) takes one value per (prediction, truth) pixel class, so E
+is the count-weighted mean of four values.
 """
 
 from __future__ import annotations
@@ -40,58 +50,77 @@ def mae(pred, gt):
     return float(np.abs(pred - gt).mean())
 
 
-def _adaptive_threshold(pred):
-    return min(2.0 * float(pred.mean()), 1.0)
+def _thresholds(pred, policy):
+    """The binarization thresholds a policy scores: one, or all 255."""
+    if policy == "adaptive":
+        return np.array([min(2.0 * float(pred.mean()), 1.0)])
+    if policy == "mean_thresholds":
+        return _THRESHOLDS
+    raise MetricError(f"unknown policy {policy!r}")
 
 
-def _f_from_binary(binary, gt_fg, beta2):
-    tp = float(np.logical_and(binary, gt_fg).sum())
-    if tp == 0.0:
-        return 0.0
-    fp = float(np.logical_and(binary, ~gt_fg).sum())
-    fn = float(np.logical_and(~binary, gt_fg).sum())
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return (1 + beta2) * precision * recall / (beta2 * precision + recall)
+def _confusion_counts(pred, gt_fg, thresholds):
+    """TP and FP of the binary map `pred >= t` at each sorted threshold t.
+
+    One pass over the map: each pixel goes to the bin of the number of
+    thresholds it reaches (``searchsorted``, so a pixel on a threshold
+    reaches it), one histogram per ground-truth class, and the pixels that
+    reach threshold k are those in bins k+1 and up.  A NaN pixel reaches no
+    threshold.
+    """
+    n = len(thresholds)
+    pred = pred.ravel()
+    bins = np.searchsorted(thresholds, pred, side="right")
+    bins[np.isnan(pred)] = 0
+    hist = np.bincount(bins + (n + 1) * gt_fg.ravel(),
+                       minlength=2 * (n + 1)).reshape(2, n + 1)
+    reached = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1].astype(np.float64)
+    return reached[1], reached[0]
 
 
 def f_measure(pred, gt, beta2=0.3, policy="adaptive"):
     pred, gt = _check(pred, gt)
     gt_fg = gt >= 0.5
-    if not gt_fg.any():
+    n_fg = float(np.count_nonzero(gt_fg))
+    if n_fg == 0.0:
         raise UndefinedMetric("F-measure undefined for empty-foreground ground truth")
-    if policy == "adaptive":
-        return _f_from_binary(pred >= _adaptive_threshold(pred), gt_fg, beta2)
-    if policy == "mean_thresholds":
-        return float(np.mean([_f_from_binary(pred >= t, gt_fg, beta2)
-                              for t in _THRESHOLDS]))
-    raise MetricError(f"unknown policy {policy!r}")
+    tp, fp = _confusion_counts(pred, gt_fg, _thresholds(pred, policy))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = tp / (tp + fp)
+        recall = tp / n_fg
+        f = (1 + beta2) * precision * recall / (beta2 * precision + recall)
+    return float(np.mean(np.where(tp > 0.0, f, 0.0)))
 
 
-def _e_from_binary(binary, gt_fg):
-    c = binary.astype(np.float64)
-    g = gt_fg.astype(np.float64)
-    if not gt_fg.any():
-        enhanced = 1.0 - c
-    elif gt_fg.all():
-        enhanced = c
-    else:
-        phi_c = c - c.mean()
-        phi_g = g - g.mean()
-        xi = 2.0 * phi_c * phi_g / (phi_c**2 + phi_g**2 + EPS)
-        enhanced = (xi + 1.0) ** 2 / 4.0
-    return float(enhanced.mean())
+def _enhanced(c, g, mean_c, mean_g):
+    """Enhanced-alignment value of a pixel with binary prediction c and truth g."""
+    phi_c = c - mean_c
+    phi_g = g - mean_g
+    xi = 2.0 * phi_c * phi_g / (phi_c**2 + phi_g**2 + EPS)
+    return (xi + 1.0) ** 2 / 4.0
 
 
 def e_measure(pred, gt, policy="adaptive"):
     pred, gt = _check(pred, gt)
     gt_fg = gt >= 0.5
-    if policy == "adaptive":
-        return _e_from_binary(pred >= _adaptive_threshold(pred), gt_fg)
-    if policy == "mean_thresholds":
-        return float(np.mean([_e_from_binary(pred >= t, gt_fg)
-                              for t in _THRESHOLDS]))
-    raise MetricError(f"unknown policy {policy!r}")
+    n = float(gt_fg.size)
+    n_fg = float(np.count_nonzero(gt_fg))
+    tp, fp = _confusion_counts(pred, gt_fg, _thresholds(pred, policy))
+    if n_fg == 0.0:
+        scores = (n - fp) / n       # enhanced = 1 - c
+    elif n_fg == n:
+        scores = tp / n             # enhanced = c
+    else:
+        # on a binary map the enhanced term takes one value per (c, g) pair
+        fn = n_fg - tp
+        tn = n - n_fg - fp
+        mean_c = (tp + fp) / n
+        mean_g = n_fg / n
+        scores = (tp * _enhanced(1.0, 1.0, mean_c, mean_g)
+                  + fp * _enhanced(1.0, 0.0, mean_c, mean_g)
+                  + fn * _enhanced(0.0, 1.0, mean_c, mean_g)
+                  + tn * _enhanced(0.0, 0.0, mean_c, mean_g)) / n
+    return float(np.mean(scores))
 
 
 def _object_score(values):
@@ -143,19 +172,22 @@ def s_measure(pred, gt, alpha=0.5):
     return max(0.0, alpha * s_object + (1.0 - alpha) * s_region)
 
 
+# column -> score(pred, gt, beta2).  Each entry looks f_measure / e_measure up
+# in the module when it runs, so a wrapper set on the module later is called.
+_SCORERS = {
+    "S": lambda pred, gt, beta2: s_measure(pred, gt),
+    "Fadp": lambda pred, gt, beta2: f_measure(pred, gt, beta2, "adaptive"),
+    "Fmean": lambda pred, gt, beta2: f_measure(pred, gt, beta2, "mean_thresholds"),
+    "Eadp": lambda pred, gt, beta2: e_measure(pred, gt, "adaptive"),
+    "Emean": lambda pred, gt, beta2: e_measure(pred, gt, "mean_thresholds"),
+    "MAE": lambda pred, gt, beta2: mae(pred, gt),
+}
+_COLUMNS = tuple(_SCORERS)
+
+
 def evaluate_pair(pred, gt, beta2=0.3):
     """All metrics for one prediction / ground-truth pair."""
-    return {
-        "S": s_measure(pred, gt),
-        "Fadp": f_measure(pred, gt, beta2, "adaptive"),
-        "Fmean": f_measure(pred, gt, beta2, "mean_thresholds"),
-        "Eadp": e_measure(pred, gt, "adaptive"),
-        "Emean": e_measure(pred, gt, "mean_thresholds"),
-        "MAE": mae(pred, gt),
-    }
-
-
-_COLUMNS = ("S", "Fadp", "Fmean", "Eadp", "Emean", "MAE")
+    return {col: score(pred, gt, beta2) for col, score in _SCORERS.items()}
 
 
 @dataclass
@@ -178,18 +210,9 @@ def compute_report(pairs, beta2=0.3):
     counts = {c: 0 for c in _COLUMNS}
     for stem, pred, gt in sorted(pairs, key=lambda t: t[0]):
         row = {}
-        for col in _COLUMNS:
+        for col, score in _SCORERS.items():
             try:
-                if col.startswith("F"):
-                    policy = "adaptive" if col == "Fadp" else "mean_thresholds"
-                    row[col] = f_measure(pred, gt, beta2, policy)
-                elif col.startswith("E"):
-                    policy = "adaptive" if col == "Eadp" else "mean_thresholds"
-                    row[col] = e_measure(pred, gt, policy)
-                elif col == "S":
-                    row[col] = s_measure(pred, gt)
-                else:
-                    row[col] = mae(pred, gt)
+                row[col] = score(pred, gt, beta2)
             except UndefinedMetric:
                 row[col] = None
                 if stem not in report.undefined:

@@ -12,7 +12,9 @@ into a feature map must therefore be a Python float, or be cast to the
 operand's dtype first: under numpy 2's promotion rules (NEP 50) a numpy
 float64 scalar such as ``np.sqrt(2.0)`` promotes a float32 array to float64,
 where numpy 1 kept it float32.  :func:`_make` raises :class:`DTypeError`
-when an op's output dtype differs from the one dtype its operands share.
+when an op's output dtype differs from the one dtype its operands share, and
+:func:`_accumulate` raises it when a gradient's dtype differs from its
+tensor's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class ConfigError(ValueError):
 
 
 class DTypeError(TypeError):
-    """An op produced a dtype other than the one its operands share."""
+    """An op produced a dtype other than the one its operands share, or a
+    gradient reached a tensor of another dtype."""
 
 
 class GradCheckError(RuntimeError):
@@ -138,6 +141,10 @@ class Tensor:
 def _accumulate(t, g):
     if not t.requires_grad:
         return
+    if g.dtype != t.dtype:
+        # `+=` would cast it silently and hide a dtype leak in a backward pass
+        raise DTypeError(f"a {g.dtype} gradient for a {t.dtype} tensor "
+                         f"of shape {t.shape}")
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g

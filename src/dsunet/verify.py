@@ -30,6 +30,63 @@ def _random_binary_mask(rng, h=16, w=16):
             return m
 
 
+def _threshold_oracle_pair(rng, h=8, w=8):
+    """A small continuous map with PGM-quantised rows, pixels lying exactly on
+    thresholds, and exact 0 and 1, against a mixed mask; small because the
+    brute-force loops run over 255 thresholds."""
+    pred = rng.random((h, w))
+    pred[::2] = rng.integers(0, 256, (h // 2 + h % 2, w)) / 255.0
+    pred[1, : w // 2] = (rng.integers(0, 255, w // 2) + 0.5) / 255.0
+    pred[3, 0], pred[3, 1] = 0.0, 1.0
+    return pred, _random_binary_mask(rng, h, w)
+
+
+def _brute_mean_over_thresholds(pred, g, score):
+    """Mean of score(binary map, g) over the 255 thresholds (k + 0.5) / 255."""
+    rows, g = pred.tolist(), g.tolist()
+    total = 0.0
+    for k in range(255):
+        t = (k + 0.5) / 255.0
+        total += score([[1 if p >= t else 0 for p in row] for row in rows], g)
+    return total / 255.0
+
+
+def _brute_f(binary, g, beta2=0.3):
+    tp = fp = fn = 0
+    for brow, grow in zip(binary, g):
+        for c, y in zip(brow, grow):
+            if c and y:
+                tp += 1
+            elif c:
+                fp += 1
+            elif y:
+                fn += 1
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return (1 + beta2) * precision * recall / (beta2 * precision + recall)
+
+
+def _brute_e(binary, g, eps=1e-8):
+    cells = [(c, y) for brow, grow in zip(binary, g) for c, y in zip(brow, grow)]
+    n = len(cells)
+    mean_c = sum(c for c, _ in cells) / n
+    mean_g = sum(y for _, y in cells) / n
+    total = 0.0
+    for c, y in cells:
+        if mean_g == 0.0:
+            total += 1.0 - c
+        elif mean_g == 1.0:
+            total += c
+        else:
+            phi_c = c - mean_c
+            phi_g = y - mean_g
+            xi = 2.0 * phi_c * phi_g / (phi_c * phi_c + phi_g * phi_g + eps)
+            total += (xi + 1.0) ** 2 / 4.0
+    return total / n
+
+
 def check_block_gradients(seeds=range(5), tol=1e-4):
     """Finite-difference checks for each trainable block; returns worst error."""
     worst = {}
@@ -95,7 +152,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
         worst["wtd"] = max(worst.get("wtd", 0.0),
                            grad_check(lambda: wtd(x, 3, 3), tensors, rng=crng,
                                       max_coords=24))
-    return [(f"grad:{name}", err < tol, f"worst rel err {err:.2e}")
+    return [(f"grad:{name}", bool(err < tol), f"worst rel err {err:.2e}")
             for name, err in sorted(worst.items())]
 
 
@@ -107,7 +164,7 @@ def check_wavelets(seeds=range(5)):
         x = Tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
         back = haar_idwt2(haar_dwt2(x))
         worst_recon = max(worst_recon, float(np.abs(back.data - x.data).max()))
-    results.append(("wavelet:perfect_reconstruction", worst_recon < 1e-6,
+    results.append(("wavelet:perfect_reconstruction", bool(worst_recon < 1e-6),
                     f"max abs err {worst_recon:.2e} on 3x8x8"))
 
     rng = np.random.default_rng(7)
@@ -119,13 +176,13 @@ def check_wavelets(seeds=range(5)):
         got = wtd(x, 5, 5)
         want = bilinear_resize(x, 5, 5)
         worst_id = max(worst_id, float(np.abs(got.data - want.data).max()))
-    results.append(("wavelet:identity_wtd_is_resize", worst_id < 1e-5,
+    results.append(("wavelet:identity_wtd_is_resize", bool(worst_id < 1e-5),
                     f"max abs err {worst_id:.2e}"))
     return results
 
 
 def check_metric_oracles(seeds=range(20)):
-    """Self-comparison identities plus naive 64-bit double-loop oracles."""
+    """Self-comparison identities plus naive 64-bit per-pixel loop oracles."""
     results = []
     self_ok = True
     detail = ""
@@ -173,10 +230,25 @@ def check_metric_oracles(seeds=range(20)):
             recall = tp / (tp + fn)
             brute_f = 1.3 * precision * recall / (0.3 * precision + recall)
         worst_f = max(worst_f, abs(brute_f - f_measure(pred, g)))
-    results.append(("metric:mae_oracle", worst_mae < 1e-12,
+    results.append(("metric:mae_oracle", bool(worst_mae < 1e-12),
                     f"worst diff {worst_mae:.2e}"))
-    results.append(("metric:f_oracle", worst_f < 1e-12,
+    results.append(("metric:f_oracle", bool(worst_f < 1e-12),
                     f"worst diff {worst_f:.2e}"))
+
+    worst_fmean = 0.0
+    worst_emean = 0.0
+    for seed in seeds:
+        pred, g = _threshold_oracle_pair(np.random.default_rng(seed + 600))
+        worst_fmean = max(worst_fmean, abs(
+            _brute_mean_over_thresholds(pred, g, _brute_f)
+            - f_measure(pred, g, 0.3, "mean_thresholds")))
+        worst_emean = max(worst_emean, abs(
+            _brute_mean_over_thresholds(pred, g, _brute_e)
+            - e_measure(pred, g, "mean_thresholds")))
+    results.append(("metric:fmean_oracle", bool(worst_fmean < 1e-12),
+                    f"worst diff {worst_fmean:.2e}"))
+    results.append(("metric:emean_oracle", bool(worst_emean < 1e-12),
+                    f"worst diff {worst_emean:.2e}"))
     return results
 
 

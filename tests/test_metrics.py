@@ -3,6 +3,7 @@ import pytest
 
 from dsunet.data import write_pgm
 from dsunet.metrics import (
+    _THRESHOLDS,
     EPS,
     MetricError,
     UndefinedMetric,
@@ -16,6 +17,7 @@ from dsunet.metrics import (
     report_table,
     s_measure,
 )
+from dsunet.verify import check_metric_oracles
 
 
 def oracle_mae(pred, gt):
@@ -197,6 +199,147 @@ class TestEMeasure:
         assert got == pytest.approx(float(np.mean(singles)), abs=1e-12)
 
 
+def per_threshold_f(pred, gt, beta2=0.3, policy="adaptive"):
+    """F-measure that binarizes and rescans the map once per threshold."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt_fg = np.asarray(gt, dtype=np.float64) >= 0.5
+    if not gt_fg.any():
+        raise UndefinedMetric("empty foreground")
+
+    def single(binary):
+        tp = float(np.logical_and(binary, gt_fg).sum())
+        if tp == 0.0:
+            return 0.0
+        fp = float(np.logical_and(binary, ~gt_fg).sum())
+        fn = float(np.logical_and(~binary, gt_fg).sum())
+        precision = tp / (tp + fp)
+        recall = tp / (tp + fn)
+        return (1 + beta2) * precision * recall / (beta2 * precision + recall)
+
+    if policy == "adaptive":
+        return single(pred >= min(2.0 * float(pred.mean()), 1.0))
+    return float(np.mean([single(pred >= t) for t in _THRESHOLDS]))
+
+
+def per_threshold_e(pred, gt, policy="adaptive"):
+    """E-measure that binarizes and rescans the map once per threshold."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt_fg = np.asarray(gt, dtype=np.float64) >= 0.5
+
+    def single(binary):
+        c = binary.astype(np.float64)
+        g = gt_fg.astype(np.float64)
+        if not gt_fg.any():
+            enhanced = 1.0 - c
+        elif gt_fg.all():
+            enhanced = c
+        else:
+            phi_c = c - c.mean()
+            phi_g = g - g.mean()
+            xi = 2.0 * phi_c * phi_g / (phi_c**2 + phi_g**2 + EPS)
+            enhanced = (xi + 1.0) ** 2 / 4.0
+        return float(enhanced.mean())
+
+    if policy == "adaptive":
+        return single(pred >= min(2.0 * float(pred.mean()), 1.0))
+    return float(np.mean([single(pred >= t) for t in _THRESHOLDS]))
+
+
+def _continuous(rng, shape):
+    return rng.random(shape)
+
+
+def _pgm_quantised(rng, shape):
+    return rng.integers(0, 256, shape) / 255.0
+
+
+def _on_thresholds(rng, shape):
+    return _THRESHOLDS[rng.integers(0, 255, shape)]
+
+
+def _with_exact_ends(rng, shape):
+    pred = rng.random(shape)
+    pred.flat[::3] = 0.0
+    pred.flat[1::4] = 1.0
+    return pred
+
+
+def _constant(rng, shape):
+    value = (0.0, 1.0, _THRESHOLDS[100], rng.random())[rng.integers(0, 4)]
+    return np.full(shape, value)
+
+
+def _one_nan(rng, shape):
+    pred = rng.random(shape)
+    pred.flat[rng.integers(0, pred.size)] = np.nan
+    return pred
+
+
+MAP_KINDS = {
+    "continuous": _continuous,
+    "pgm_quantised": _pgm_quantised,
+    "on_thresholds": _on_thresholds,
+    "exact_0_and_1": _with_exact_ends,
+    "constant": _constant,
+    "nan_pixel": _one_nan,
+}
+
+
+class TestCountsMatchPerThreshold:
+    """F and E from confusion counts equal the per-threshold rescans."""
+
+    def _gt(self, rng, shape, kind):
+        if kind == "all_fg":
+            return np.ones(shape)
+        if kind == "all_bg":
+            return np.zeros(shape)
+        gt = (rng.random(shape) < rng.uniform(0.2, 0.8)).astype(np.float64)
+        gt.flat[0], gt.flat[-1] = 1.0, 0.0   # both classes present
+        return gt
+
+    def _assert_match(self, pred, gt):
+        for policy in ("adaptive", "mean_thresholds"):
+            got = e_measure(pred, gt, policy)
+            assert abs(got - per_threshold_e(pred, gt, policy)) < 1e-12, policy
+            if not (np.asarray(gt) >= 0.5).any():
+                with pytest.raises(UndefinedMetric):
+                    f_measure(pred, gt, 0.3, policy)
+                continue
+            got = f_measure(pred, gt, 0.3, policy)
+            assert abs(got - per_threshold_f(pred, gt, 0.3, policy)) < 1e-12, policy
+
+    @pytest.mark.parametrize("gt_kind", ["mixed", "all_fg", "all_bg"])
+    @pytest.mark.parametrize("map_kind", list(MAP_KINDS))
+    def test_map_kinds(self, map_kind, gt_kind):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            shape = tuple(rng.integers(2, 30, 2))
+            pred = MAP_KINDS[map_kind](rng, shape)
+            self._assert_match(pred, self._gt(rng, shape, gt_kind))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, _THRESHOLDS[7], 0.5, np.nan])
+    def test_one_by_one_maps(self, value):
+        pred = np.array([[value]])
+        for gt in (np.ones((1, 1)), np.zeros((1, 1))):
+            self._assert_match(pred, gt)
+
+    def test_nan_pixel_is_negative_at_every_threshold(self):
+        gt = np.zeros((4, 4))
+        gt[:2] = 1.0
+        pred = gt.copy()
+        pred[0, 0] = np.nan   # a NaN that counted as positive would raise F
+        assert f_measure(pred, gt, 0.3, "mean_thresholds") == pytest.approx(
+            per_threshold_f(pred, gt, 0.3, "mean_thresholds"), abs=1e-12)
+        assert f_measure(pred, gt, 0.3, "mean_thresholds") < 1.0
+
+
+def test_verify_metric_checks_return_python_bools():
+    results = check_metric_oracles(seeds=range(3))
+    names = {name for name, _, _ in results}
+    assert {"metric:fmean_oracle", "metric:emean_oracle"} <= names
+    assert all(type(ok) is bool and ok for _, ok, _ in results), results
+
+
 class TestSMeasure:
     def test_perfect_binary_prediction(self):
         _, gt = random_pair(0)
@@ -277,6 +420,26 @@ class TestReports:
         rep = compute_report(self._pairs(2))
         text = report_table(rep)
         assert "img_000" in text and "mean" in text
+
+    def test_report_calls_scorers_through_the_module(self, monkeypatch):
+        # a wrapper set on the module after import (a tracer, say) sees every
+        # call, with the prediction first and the policy positional
+        import dsunet.metrics as module
+
+        (stem, pred, gt), = self._pairs(1)
+        calls = []
+        for name in ("s_measure", "f_measure", "e_measure", "mae"):
+            def wrapper(*args, _name=name, _fn=getattr(module, name)):
+                calls.append((_name, args[0] is pred, args[2:]))
+                return _fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+        compute_report([(stem, pred, gt)])
+        assert calls == [("s_measure", True, ()),
+                         ("f_measure", True, (0.3, "adaptive")),
+                         ("f_measure", True, (0.3, "mean_thresholds")),
+                         ("e_measure", True, ("adaptive",)),
+                         ("e_measure", True, ("mean_thresholds",)),
+                         ("mae", True, ())]
 
     def test_evaluate_pair_keys(self):
         pred, gt = random_pair(5)

@@ -10,6 +10,7 @@ from dsunet.tensor import (
     DTypeError,
     ShapeError,
     Tensor,
+    _accumulate,
     _make,
     add,
     avg_pool2d,
@@ -398,6 +399,13 @@ class TestDtypeContract:
         with pytest.raises(DTypeError, match="_leaky_op: float32 operands gave a float64"):
             _leaky_op(x)
 
+    def test_accumulate_rejects_a_changed_gradient_dtype(self):
+        x = Tensor(np.ones((2, 2), dtype=np.float32), trainable=True)
+        out = _leaky_backward_op(x)
+        assert out.dtype == np.float32
+        with pytest.raises(DTypeError, match="float64 gradient for a float32 tensor"):
+            out.backward()
+
     def test_mixed_operands_promote_without_error(self):
         a = Tensor(np.ones(3, dtype=np.float32))
         b = Tensor(np.ones(3, dtype=np.float64))
@@ -409,3 +417,10 @@ def _leaky_op(x):
         pass
 
     return _make(x.data.astype(np.float64), (x,), backward)
+
+
+def _leaky_backward_op(x):
+    def backward(g):
+        _accumulate(x, g.astype(np.float64))
+
+    return _make(x.data * 2.0, (x,), backward)
