@@ -35,28 +35,30 @@ from dsunet.tensor import (
 )
 
 
-def brute_force_conv(x, w, bias, stride, pad, dil):
-    """Triple-loop direct convolution oracle (groups = 1)."""
+def brute_force_conv(x, w, bias, stride, pad, dil, groups=1):
+    """Per-output-pixel loop convolution oracle, in float64."""
     n, cin, h, w_in = x.shape
-    cout, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cout, cpg, kh, kw = w.shape
+    opg = cout // groups
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = (h + 2 * pad - dil * (kh - 1) - 1) // stride + 1
     ow = (w_in + 2 * pad - dil * (kw - 1) - 1) // stride + 1
     out = np.zeros((n, cout, oh, ow))
     for b in range(n):
         for co in range(cout):
+            c0 = (co // opg) * cpg  # first input channel of this output's group
             for i in range(oh):
                 for j in range(ow):
                     acc = 0.0
-                    for ci in range(cin):
+                    for ci in range(cpg):
                         for ki in range(kh):
                             for kj in range(kw):
                                 acc += (
-                                    xp[b, ci, i * stride + ki * dil,
+                                    xp[b, c0 + ci, i * stride + ki * dil,
                                        j * stride + kj * dil]
-                                    * w[co, ci, ki, kj]
+                                    * float(w[co, ci, ki, kj])
                                 )
-                    out[b, co, i, j] = acc + (bias[co] if bias is not None else 0.0)
+                    out[b, co, i, j] = acc + (float(bias[co]) if bias is not None else 0.0)
     return out
 
 
@@ -100,6 +102,52 @@ class TestConv2d:
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
         want = brute_force_conv(x, w, b, stride, pad, dil)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["dense", "groups2", "depthwise"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dil", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    def test_every_path_matches_the_loop_oracle(self, kind, stride, dil, pad):
+        cin, cout, groups = {"dense": (4, 6, 1), "groups2": (4, 6, 2),
+                             "depthwise": (4, 4, 4)}[kind]
+        rng = np.random.default_rng(100 * stride + 10 * dil + pad)
+        x = rng.standard_normal((2, cin, 9, 8))
+        w = rng.standard_normal((cout, cin // groups, 3, 2))
+        b = rng.standard_normal(cout)
+        spec = ConvSpec(cin, cout, (3, 2), stride=stride, padding=pad, dilation=dil,
+                        groups=groups)
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            xs, ws, bs = (a.astype(dtype) for a in (x, w, b))
+            want = brute_force_conv(xs, ws, bs, stride, pad, dil, groups)
+            for batched in (True, False):
+                xin = xs if batched else xs[0]
+                got = conv2d(Tensor(xin), Tensor(ws), Tensor(bs), spec).data
+                assert got.dtype == dtype
+                ref = want if batched else want[0]
+                assert got.shape == ref.shape
+                # error relative to the largest output, so a cancelling
+                # output does not count as a large relative error
+                assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+    @pytest.mark.parametrize("xshape,spec", [
+        ((3, 7, 7), ConvSpec(3, 3, (3, 3), stride=2, padding=1, groups=3)),
+        ((3, 7, 6), ConvSpec(3, 3, (3, 3), padding=2, dilation=2, groups=3)),
+        ((2, 3, 5, 5), ConvSpec(3, 3, (3, 3), padding=1, groups=3)),
+        ((2, 4, 5, 5), ConvSpec(4, 6, (3, 3), stride=2, padding=1, groups=2)),
+        ((2, 4, 5, 5), ConvSpec(4, 3, (3, 3), padding=1)),
+    ], ids=["depthwise-stride2", "depthwise-dilation2", "depthwise-batched",
+            "grouped-batched", "dense-batched"])
+    def test_gradients_off_the_unit_stride_path(self, xshape, spec):
+        rng = np.random.default_rng(12)
+        kh, kw = spec.kernel
+        x = Tensor(rng.standard_normal(xshape))
+        w = Tensor(rng.standard_normal((spec.out_channels, spec.in_channels // spec.groups,
+                                        kh, kw)), trainable=True)
+        b = Tensor(rng.standard_normal(spec.out_channels), trainable=True)
+        cast_all([x, w, b], np.float64)
+        # a linear op: the finite-difference round-off alone reaches 2.5e-6
+        # on the batched dense case
+        assert grad_check(lambda: conv2d(x, w, b, spec), [x, w, b]) < 1e-5
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
@@ -159,6 +207,26 @@ class TestActivations:
         want = 0.5 * 3 * (1 + np.tanh(np.sqrt(2 / np.pi) * (3 + 0.044715 * 27)))
         assert abs(got - want) < 1e-12
         assert abs(got - 2.9964) < 5e-4
+
+    def test_gelu_float32_accuracy(self):
+        # reference: the tanh formula in float64 through the identity
+        # (1 + tanh(u)) / 2 = 1 / (1 + exp(-2u)), which does not cancel for
+        # negative u; its own error is about 1e-15 relative.
+        x = np.concatenate([np.linspace(-10, 10, 20001), [0.0, 1e-20, -1e-20]])
+        x = x.astype(np.float32)
+        xd = x.astype(np.float64)
+        u = np.sqrt(2 / np.pi) * (xd + 0.044715 * xd**3)
+        want = xd / (1 + np.exp(-2 * u))
+        got = gelu(Tensor(x)).data
+        assert got.dtype == np.float32
+        assert np.all(got[x == 0] == 0)
+        nz = x != 0
+        rel = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
+        # float32 rounds u itself, and exp turns an absolute error in 2u into
+        # a relative one: a few eps (1 + 2|u|), 1.4e-5 near x = -9.4.
+        eps = np.finfo(np.float32).eps
+        assert np.all(rel <= 4 * eps * (1 + 2 * np.abs(u[nz])))
+        assert rel[x[nz] >= -2].max() <= 1e-6
 
     def test_gelu_monotone_on_nonnegative_grid(self):
         xs = np.linspace(0, 5, 101)
@@ -220,6 +288,14 @@ class TestAvgPool:
         x = Tensor(rng.standard_normal((2, 4, 4)))
         cast_all([x], np.float64)
         assert grad_check(lambda: avg_pool2d(x, 3, stride=1, padding=1), [x]) < 1e-6
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
+    def test_matches_a_uniform_depthwise_conv(self, stride, padding):
+        x = np.random.default_rng(3).standard_normal((2, 3, 7, 6))
+        w = np.full((3, 1, 3, 3), 1.0 / 9.0)
+        want = brute_force_conv(x, w, None, stride, padding, 1, groups=3)
+        got = avg_pool2d(Tensor(x), 3, stride, padding).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestReduce:
