@@ -96,7 +96,7 @@ class DSUNetEstimator:
                     _check_sample(s, run.model.resolved_profile, i)
                 run.n_train = len(samples)
                 run.n_val = 0
-                result = _train_on(run, samples)
+                result = train(run, samples=samples)
             else:
                 result = train(run)
         self.model_ = result.model
@@ -118,14 +118,3 @@ class DSUNetEstimator:
         preds = self.predict(X)
         return float(np.mean([1.0 - mae(p, g) for p, g in zip(preds, y)]))
 
-
-def _train_on(run, samples):
-    """Train on caller-provided samples via the dataset-directory path."""
-    import os
-
-    from .data import write_dataset
-
-    data_dir = os.path.join(run.out_dir, "data")
-    write_dataset(data_dir, samples, range(len(samples)))
-    run.data_dir = data_dir
-    return train(run)

@@ -22,7 +22,7 @@ from .data import (
 from .losses import total_loss
 from .metrics import compute_report
 from .optim import AdamW
-from .tensor import Tensor
+from .tensor import Tensor, logistic
 
 # seed offset separating validation sample streams from training streams
 VAL_SEED_OFFSET = 100_000
@@ -46,7 +46,12 @@ def save_checkpoint(path, model, run_config, optimizer=None):
 
 
 def load_checkpoint(path):
-    """Returns (model, run_config, raw tensor dict)."""
+    """Returns (model, run_config, raw tensor dict).
+
+    The model's parameters are the arrays that :func:`read_container`
+    returned, not copies: the raw dict shares them with the model, so writing
+    into one changes the other.
+    """
     from .config import parse_config_text
 
     tensors = read_container(path, magic=MAGIC_CHECKPOINT)
@@ -59,7 +64,7 @@ def load_checkpoint(path):
         if tensors[name].shape != p.data.shape:
             raise ValueError(f"checkpoint parameter {name!r} has shape "
                              f"{tensors[name].shape}, model expects {p.data.shape}")
-        p.data = tensors[name].copy()
+        p.data = tensors[name]
     return model, run, tensors
 
 
@@ -91,10 +96,18 @@ def _load_or_generate(run):
     return train, val
 
 
-def train(run: RunConfig, progress=None):
-    """Deterministic training loop; writes a CSV log and a final checkpoint."""
+def train(run: RunConfig, progress=None, samples=None):
+    """Deterministic training loop; writes a CSV log and a final checkpoint.
+
+    ``samples``, when given, is the training set itself, used as it is
+    (no validation samples); otherwise the samples come from
+    ``run.data_dir`` or are generated from ``run.seed``.
+    """
     os.makedirs(run.out_dir, exist_ok=True)
-    train_samples, val_samples = _load_or_generate(run)
+    if samples is None:
+        train_samples, val_samples = _load_or_generate(run)
+    else:
+        train_samples, val_samples = list(samples), []
     model = DSUNet(run.model)
     optimizer = AdamW(model.trainable_parameters(), lr=run.lr,
                       weight_decay=run.weight_decay)
@@ -143,14 +156,29 @@ def train(run: RunConfig, progress=None):
 # -- prediction ----------------------------------------------------------------
 
 
-def _sigmoid2d(logits):
-    return (1.0 / (1.0 + np.exp(-logits.astype(np.float64))))[0]
+def _probability_map(model, image_main, image_aux):
+    """sigmoid of the final decoder output, as an H x W float64 array in [0, 1].
+
+    The forward runs with ``requires_grad`` off on every parameter, so no op
+    records a backward step and each intermediate map is freed as soon as the
+    next op has used it.  The flags are restored afterwards, also when the
+    forward raises.
+    """
+    params = model.parameters()
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        d3 = model(Tensor(image_main), Tensor(image_aux)).d3
+    finally:
+        for p, f in zip(params, flags):
+            p.requires_grad = f
+    return logistic(d3.data.astype(np.float64))[0]
 
 
 def predict_sample(model, sample: Sample):
     """sigmoid of the final decoder output, as an H x W array in [0, 1]."""
-    outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
-    return _sigmoid2d(outputs.d3.data)
+    return _probability_map(model, sample.image_main, sample.image_aux)
 
 
 def predict(ckpt_path, images_dir, out_dir):
@@ -165,8 +193,7 @@ def predict(ckpt_path, images_dir, out_dir):
     for sample_id in ids:
         main = read_image_planes(main_dir, sample_id)
         aux = read_image_planes(aux_dir, sample_id)
-        outputs = model(Tensor(main), Tensor(aux))
-        pred = _sigmoid2d(outputs.d3.data)
+        pred = _probability_map(model, main, aux)
         path = os.path.join(out_dir, f"{sample_id}.pgm")
         write_mask(path, pred)
         written.append(path)
@@ -206,9 +233,8 @@ def ablate(base_run: RunConfig):
         result = train(run)
         pairs = []
         for sample in result.val_samples:
-            outputs = result.model(Tensor(sample.image_main),
-                                   Tensor(sample.image_aux))
-            pred = _sigmoid2d(outputs.d3.data)
+            pred = _probability_map(result.model, sample.image_main,
+                                    sample.image_aux)
             pairs.append((sample.id, pred, sample.gt.astype(np.float64)))
         report = compute_report(pairs, beta2=run.model.beta2_f)
         rows.append((variant, report.means))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _accumulate, _make
+from .tensor import ShapeError, Tensor, _accumulate, _make, logistic
 
 
 def _box_mean(gt, kernel, pad):
@@ -59,7 +59,7 @@ def weighted_bce(logits, gt, w):
     loss = (w64 * per_pixel).sum() / wsum
 
     def backward(gout):
-        p = 1.0 / (1.0 + np.exp(-z))
+        p = logistic(z)
         dz = w64 * (p - g64) / wsum
         _accumulate(logits, (float(gout) * dz).astype(logits.dtype))
 
@@ -75,7 +75,7 @@ def weighted_iou(logits, gt, w):
     z = logits.data.astype(np.float64)
     g64 = np.asarray(gt, dtype=np.float64)
     w64 = np.asarray(w, dtype=np.float64)
-    p = 1.0 / (1.0 + np.exp(-z))
+    p = logistic(z)
     inter = (w64 * p * g64).sum()
     union = (w64 * (p + g64)).sum()
     a = inter + 1.0

@@ -216,8 +216,18 @@ def relu(x):
     return _make(out_data, (x,), backward)
 
 
+def logistic(z):
+    """``1 / (1 + exp(-z))`` of an array, in its dtype.
+
+    For very negative ``z``, ``exp`` overflows to inf and the value is exactly
+    0; that overflow is expected and does not warn.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(x):
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    y = logistic(x.data)
 
     def backward(g):
         _accumulate(x, g * y * (1.0 - y))

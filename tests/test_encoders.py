@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dsunet.blocks import DSUNet
 from dsunet.config import PROFILES, ModelConfig, RunConfig, parse_config_text, render_config
 from dsunet.container import (
+    MAGIC_CHECKPOINT,
+    MAGIC_FEATURES,
     BadMagicError,
     BadVersionError,
     TruncatedError,
@@ -74,6 +78,20 @@ class TestToyViT:
         enc = ToyViT(PROFILES["toy"], np.random.default_rng(0))
         with pytest.raises(ShapeError, match="divisible"):
             enc(Tensor(np.zeros((3, 100, 100), dtype=np.float32)))
+
+
+def joined_container_bytes(tensors, magic=MAGIC_FEATURES):
+    """Oracle: the container bytes as one join of every header and payload."""
+    chunks = [magic, struct.pack("<II", 1, len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype=np.float32)
+        nameb = name.encode("utf-8")
+        chunks.append(struct.pack("<I", len(nameb)))
+        chunks.append(nameb)
+        chunks.append(struct.pack("<I", arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return b"".join(chunks)
 
 
 class TestContainer:
@@ -148,6 +166,62 @@ class TestContainer:
         with pytest.raises(ValueError):
             write_container(p, {"x": np.array([np.nan], dtype=np.float32)})
 
+
+    def _odd_arrays(self):
+        rng = np.random.default_rng(3)
+        big = rng.standard_normal((5, 7, 3))
+        return {
+            "random": rng.standard_normal((4, 6)).astype(np.float32),
+            "float64": big,
+            "strided": big[:, ::2, 1].astype(np.float32),
+            "fortran": np.asfortranarray(rng.standard_normal((3, 4))).astype(np.float32),
+            "empty": np.zeros((0,), dtype=np.float32),
+            "empty2d": np.zeros((2, 0, 3), dtype=np.float32),
+            "one": np.array([2.5], dtype=np.float32),
+            "scalar": np.float32(-1.25),
+            "n\u00e4me": np.ones((1, 1), dtype=np.float32),
+        }
+
+    @pytest.mark.parametrize("magic", [MAGIC_FEATURES, MAGIC_CHECKPOINT])
+    def test_bytes_equal_the_joined_writer(self, tmp_path, magic):
+        for tensors in (self._arrays(), self._odd_arrays(), {}):
+            p = tmp_path / "o.bin"
+            write_container(str(p), tensors, magic=magic)
+            assert p.read_bytes() == joined_container_bytes(tensors, magic)
+            back = read_container(str(p), magic=magic)
+            assert list(back) == list(tensors)
+            for name, arr in tensors.items():
+                want = np.asarray(arr, dtype=np.float32)
+                assert back[name].dtype == np.float32
+                assert back[name].shape == want.shape
+                np.testing.assert_array_equal(back[name], want)
+
+    def test_every_cut_point_is_truncated(self, tmp_path):
+        p = tmp_path / "cut.dsuf"
+        write_container(str(p), {"a": np.arange(3, dtype=np.float32),
+                                 "bc": np.ones((2, 1), dtype=np.float32)})
+        raw = p.read_bytes()
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(TruncatedError):
+                read_container(str(p))
+
+    def test_read_arrays_are_owned_and_writeable(self, tmp_path):
+        p = str(tmp_path / "w.dsuf")
+        write_container(p, self._odd_arrays())
+        for arr in read_container(p).values():
+            assert arr.dtype == np.float32
+            assert arr.flags.owndata and arr.flags.writeable
+
+    def test_non_finite_leaves_an_existing_file_untouched(self, tmp_path):
+        p = tmp_path / "keep.dsuf"
+        write_container(str(p), self._arrays())
+        before = p.read_bytes()
+        for bad in (np.nan, np.inf, -np.inf, 1e39):   # 1e39 overflows float32
+            tensors = dict(self._arrays(), late=np.array([0.0, bad]))
+            with pytest.raises(ValueError, match="'late'"):
+                write_container(str(p), tensors)
+            assert p.read_bytes() == before
 
 class TestFeatureIngestion:
     def _pyramid_arrays(self, profile):

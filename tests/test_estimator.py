@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dsunet import DSUNetEstimator
-from dsunet.data import generate_sample
+from dsunet.data import generate_sample, load_dataset, write_dataset
+from dsunet.harness import train
 
 
 def make_samples(n, seed_base=0):
@@ -50,6 +53,28 @@ class TestFitPredict:
         est = DSUNetEstimator(**fast_params()).fit(X, y)
         preds = est.predict(X)
         assert len(preds) == 4
+
+    def test_fit_trains_on_the_callers_arrays(self, tmp_path):
+        # mean/std-style inputs: well outside [0, 1]
+        samples = [replace(s, image_main=(s.image_main - 0.5) * 3.0,
+                           image_aux=(s.image_aux - 0.5) * 3.0)
+                   for s in make_samples(4, seed_base=30)]
+        X = [(s.image_main, s.image_aux) for s in samples]
+        y = [s.gt for s in samples]
+        est = DSUNetEstimator(**fast_params()).fit(X, y)
+        ref = train(est._run_config(str(tmp_path / "ref")), samples=samples)
+        got = est.model_.named_parameters()
+        for name, p in ref.model.named_parameters().items():
+            assert got[name].data.tobytes() == p.data.tobytes(), name
+
+        # the clipped, 8-bit copies a PGM round trip makes train another model
+        write_dataset(str(tmp_path / "data"), samples, range(len(samples)))
+        quantised = load_dataset(str(tmp_path / "data"))
+        assert not np.array_equal(quantised[0].image_main, samples[0].image_main)
+        other = DSUNetEstimator(**fast_params()).fit(
+            [(s.image_main, s.image_aux) for s in quantised], y)
+        assert any(other.model_.named_parameters()[name].data.tobytes()
+                   != p.data.tobytes() for name, p in got.items())
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dsunet.harness import (
     train,
 )
 from dsunet.optim import AdamW, NonFiniteGradient
-from dsunet.tensor import Tensor
+from dsunet.tensor import ShapeError, Tensor
 
 
 def tiny_run(out_dir, **overrides):
@@ -140,6 +141,64 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    def test_loaded_parameters_are_owned_writeable_float32(self, tmp_path):
+        run = tiny_run(str(tmp_path))
+        path = str(tmp_path / "m.dsut")
+        save_checkpoint(path, DSUNet(run.model), run)
+        model, _, raw = load_checkpoint(path)
+        for name, p in model.named_parameters().items():
+            assert p.data.dtype == np.float32
+            assert p.data.flags.owndata and p.data.flags.writeable
+            assert p.data is raw[name]
+
+
+class TestProbabilityMap:
+    """predict_sample, predict and ablate share one tape-free forward."""
+
+    def _model_and_sample(self):
+        return (DSUNet(ModelConfig(profile="toy", seed=4)),
+                generate_sample(9, "sod", "toy"))
+
+    def test_equals_the_sigmoid_of_a_taped_forward(self):
+        model, sample = self._model_and_sample()
+        d3 = model(Tensor(sample.image_main), Tensor(sample.image_aux)).d3
+        assert d3._parents != ()
+        with np.errstate(over="ignore"):
+            want = (1.0 / (1.0 + np.exp(-d3.data.astype(np.float64))))[0]
+        got = predict_sample(model, sample)
+        assert got.dtype == np.float64 and got.shape == sample.gt.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_forward_records_no_graph(self, monkeypatch):
+        model, sample = self._model_and_sample()
+        seen = []
+        forward_pyramid = model.forward_pyramid
+
+        def spy(*args):
+            outputs = forward_pyramid(*args)
+            seen.append(outputs.d3)
+            return outputs
+
+        monkeypatch.setattr(model, "forward_pyramid", spy)
+        predict_sample(model, sample)
+        (d3,) = seen
+        assert d3._parents == () and d3._backward is None
+        assert not d3.requires_grad
+
+    def test_requires_grad_flags_restored(self):
+        model, sample = self._model_and_sample()
+        params = model.parameters()
+        params[0].requires_grad = True   # a frozen encoder weight, switched on
+        flags = [p.requires_grad for p in params]
+        assert any(flags) and not all(flags)
+        predict_sample(model, sample)
+        assert [p.requires_grad for p in params] == flags
+        bad = replace(sample, image_aux=np.zeros((3, 100, 100), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            predict_sample(model, bad)
+        assert [p.requires_grad for p in params] == flags
+
+
 class TestTraining:
     def test_writes_log_and_checkpoint(self, tmp_path):
         run = tiny_run(str(tmp_path / "run"))
@@ -166,6 +225,13 @@ class TestTraining:
         res = train(run)
         totals = [row[-1] for row in res.epoch_rows]
         assert totals[-1] < totals[0]
+
+    def test_training_on_given_samples(self, tmp_path):
+        samples = [generate_sample(20 + i, "sod", "toy") for i in range(3)]
+        res = train(tiny_run(str(tmp_path / "run")), samples=samples)
+        assert len(res.train_samples) == 3 and res.val_samples == []
+        assert all(a is b for a, b in zip(res.train_samples, samples))
+        assert len(res.epoch_rows) == 1
 
     def test_training_from_dataset_dir(self, tmp_path):
         data = str(tmp_path / "data")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,16 @@ class TestWeightedBCE:
         assert np.isfinite(loss.data)
         assert float(loss.data) == pytest.approx(500.0, rel=1e-9)
 
+    def test_backward_at_saturated_logits_without_a_warning(self):
+        z = Tensor(np.array([[[-1000.0, 1000.0]]]), trainable=True)
+        gt = np.array([[[1.0, 0.0]]])
+        loss = weighted_bce(z, gt, np.ones_like(gt))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss.backward()
+        # p = 0 and 1 exactly, so dz = (p - g) / 2
+        np.testing.assert_array_equal(z.grad, [[[-0.5, 0.5]]])
+
     def test_weighting_reweights_pixels(self):
         gt = np.array([[[1.0, 0.0]]])
         z = Tensor(np.array([[[0.0, 3.0]]]))  # second pixel is the bad one
@@ -139,6 +151,17 @@ class TestWeightedIoU:
         naive = 1.0 - (inter + 1.0) / (union - inter + 1.0)
         got = float(weighted_iou(Tensor(z), gt, w).data)
         assert got == pytest.approx(naive, rel=1e-10)
+
+    def test_saturated_logits_without_a_warning(self):
+        z = Tensor(np.array([[[-1000.0, 1000.0]]]), trainable=True)
+        gt = np.array([[[0.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = weighted_iou(z, gt, np.ones_like(gt))
+            loss.backward()
+        # p = 0 and 1 exactly: inter = 1, union = 1, loss = 1 - 2/2
+        assert float(loss.data) == 0.0
+        assert np.all(np.isfinite(z.grad))
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(5)

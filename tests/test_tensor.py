@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from dsunet.tensor import (
     gelu,
     grad_check,
     linear,
+    logistic,
     mul,
     narrow,
     pad_reflect_br,
@@ -232,6 +235,25 @@ class TestActivations:
         xs = np.linspace(0, 5, 101)
         ys = gelu(Tensor(xs)).data
         assert np.all(np.diff(ys) >= 0)
+
+    def test_logistic_saturates_to_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logistic(np.array([-1000.0]))[0] == 0.0
+            y = sigmoid(Tensor(np.array([-100.0], dtype=np.float32))).data
+        assert y.dtype == np.float32 and y[0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logistic_matches_the_plain_expression_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.standard_normal(5000) * 30.0,
+                            [-1000.0, -100.0, -89.0, 0.0, 89.0, 1000.0]]).astype(dtype)
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-z))
+        got = logistic(z)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert sigmoid(Tensor(z)).data.tobytes() == want.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
