@@ -142,7 +142,6 @@ class Adapter(Module):
         self.up.bias.data[:] = 0.0
 
     def forward(self, x):
-        c, h, w = x.data.shape
         t = transpose(x, (1, 2, 0))
         t = gelu(self.down(t))
         t = gelu(self.up(t))
@@ -178,7 +177,7 @@ class WaveletDownsample(Module):
         return self
 
     def forward(self, x, target_h, target_w):
-        c, h, w = x.data.shape
+        h, w = x.data.shape[1:]
         y = pad_reflect_br(x, h % 2, w % 2)
         y = haar_dwt2(y)
         y = self.subband(y)

@@ -113,13 +113,9 @@ def write_feature_file(path, named_tensors):
     write_container(path, arrays, magic=MAGIC_FEATURES)
 
 
-def read_feature_file(path):
-    return read_container(path, magic=MAGIC_FEATURES)
-
-
 def load_pyramid(path, profile: Profile):
     """Read a DSUF file and validate its shapes against the active profile."""
-    arrays = read_feature_file(path)
+    arrays = read_container(path, magic=MAGIC_FEATURES)
     expected = profile.pyramid_shapes()
     tensors = {}
     for name, shape in expected.items():

@@ -143,7 +143,7 @@ def _region_q(x, y):
     return num / (den + EPS)
 
 
-def s_measure(pred, gt, alpha=0.5):
+def s_measure(pred, gt):
     pred, gt = _check(pred, gt)
     gt_bin = (gt >= 0.5).astype(np.float64)
     mu = gt_bin.mean()
@@ -169,7 +169,7 @@ def s_measure(pred, gt, alpha=0.5):
             continue
         s_region += (gq.size / area) * _region_q(pred[rs, cs].ravel(), gq.ravel())
 
-    return max(0.0, alpha * s_object + (1.0 - alpha) * s_region)
+    return max(0.0, 0.5 * s_object + 0.5 * s_region)
 
 
 # column -> score(pred, gt, beta2).  Each entry looks f_measure / e_measure up
@@ -183,11 +183,6 @@ _SCORERS = {
     "MAE": lambda pred, gt, beta2: mae(pred, gt),
 }
 _COLUMNS = tuple(_SCORERS)
-
-
-def evaluate_pair(pred, gt, beta2=0.3):
-    """All metrics for one prediction / ground-truth pair."""
-    return {col: score(pred, gt, beta2) for col, score in _SCORERS.items()}
 
 
 @dataclass
@@ -227,11 +222,9 @@ def compute_report(pairs, beta2=0.3):
     return report
 
 
-def evaluate_dataset(pred_dir, gt_dir, beta2=0.3, read_fn=None):
+def evaluate_dataset(pred_dir, gt_dir):
     """Pair .pgm files in two directories by stem and evaluate every pair."""
-    if read_fn is None:
-        from .data import read_mask
-        read_fn = read_mask
+    from .data import read_mask  # at call time, so a wrapper set on data is called
 
     def stems(d):
         return {os.path.splitext(f)[0]: os.path.join(d, f)
@@ -243,24 +236,21 @@ def evaluate_dataset(pred_dir, gt_dir, beta2=0.3, read_fn=None):
     if not common:
         raise MetricError(
             f"no common stems between {pred_dir!r} and {gt_dir!r}")
-    report = MetricReport()
-    report.skipped = sorted(set(preds) ^ set(gts))
     pairs = []
+    failures = []
     for stem in common:
         try:
-            pred = read_fn(preds[stem])
-            gt = (read_fn(gts[stem]) >= 0.5).astype(np.float64)
+            pred = read_mask(preds[stem])
+            gt = (read_mask(gts[stem]) >= 0.5).astype(np.float64)
             if pred.shape != gt.shape:
                 raise MetricError(
                     f"dimension mismatch: {pred.shape} vs {gt.shape}")
             pairs.append((stem, pred, gt))
         except Exception as exc:  # per-file error entry
-            report.failures.append((stem, str(exc)))
-    sub = compute_report(pairs, beta2)
-    report.rows = sub.rows
-    report.means = sub.means
-    report.n_images = sub.n_images
-    report.undefined = sub.undefined
+            failures.append((stem, str(exc)))
+    report = compute_report(pairs)
+    report.skipped = sorted(set(preds) ^ set(gts))
+    report.failures = failures
     return report
 
 

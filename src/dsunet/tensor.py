@@ -112,10 +112,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self):
-        out = Tensor(self.data)
-        return out
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, trainable={self.trainable})"
 
@@ -130,12 +126,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
 
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
@@ -265,17 +255,6 @@ def gelu(x):
         _accumulate(x, g * dx)
 
     return _make(out_data, (x,), backward)
-
-
-_ACTIVATIONS = {"gelu": gelu, "relu": relu, "sigmoid": sigmoid}
-
-
-def pointwise_activation(x, kind):
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation {kind!r}") from None
-    return fn(x)
 
 
 # -- shape manipulation ---------------------------------------------------
@@ -511,41 +490,12 @@ def conv2d(x, weight, bias, spec):
     return _make(out_data, parents, backward)
 
 
-def avg_pool2d(x, kernel, stride=1, padding=0):
-    """Window mean with count_include_pad semantics (denominator = kernel area)."""
-    batched = x.data.ndim == 4
-    xd = x.data if batched else x.data[None]
-    spec = ConvSpec(xd.shape[1], xd.shape[1], (kernel, kernel), stride, padding)
-    oh, ow = spec.out_size(xd.shape[2], xd.shape[3])
-    taps = _taps(kernel, kernel, stride, 1, oh, ow)
-    pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(xd, pads) if padding else xd
-    area = kernel * kernel
-    acc = np.zeros(xd.shape[:2] + (oh, ow), dtype=np.float64)
-    for _, _, idx in taps:
-        acc += xp[idx]
-    out = (acc / area).astype(xd.dtype)
-    out_data = out if batched else out[0]
-
-    def backward(g):
-        gd = (g if batched else g[None]) / area
-        gxp = np.zeros_like(xp)
-        for _, _, idx in taps:
-            gxp[idx] += gd
-        _accumulate(x, _unpad(gxp, padding, batched))
-
-    return _make(out_data, (x,), backward)
-
-
-def _interp_matrix(n_in, n_out, align_corners, dtype):
-    """Row-stochastic (n_out, n_in) bilinear sampling matrix."""
-    if align_corners:
-        if n_out == 1:
-            pos = np.zeros(1)
-        else:
-            pos = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+def _interp_matrix(n_in, n_out, dtype):
+    """Row-stochastic (n_out, n_in) corner-aligned bilinear sampling matrix."""
+    if n_out == 1:
+        pos = np.zeros(1)
     else:
-        pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0, n_in - 1)
+        pos = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
     j0 = np.floor(pos).astype(np.intp)
     j1 = np.minimum(j0 + 1, n_in - 1)
     frac = pos - j0
@@ -556,15 +506,16 @@ def _interp_matrix(n_in, n_out, align_corners, dtype):
     return m
 
 
-def bilinear_resize(x, out_h, out_w, align_corners=True):
-    """Bilinear resampling of a C x H x W map (separable: out = My @ x @ Mx^T)."""
+def bilinear_resize(x, out_h, out_w):
+    """Corner-aligned bilinear resampling of a C x H x W map (separable:
+    out = My @ x @ Mx^T)."""
     if out_h < 1 or out_w < 1:
         raise ConfigError("bilinear_resize target extents must be >= 1")
     c, h, w = x.data.shape
     if out_h == h and out_w == w:
         return x
-    my = _interp_matrix(h, out_h, align_corners, x.dtype)
-    mx = _interp_matrix(w, out_w, align_corners, x.dtype)
+    my = _interp_matrix(h, out_h, x.dtype)
+    mx = _interp_matrix(w, out_w, x.dtype)
     out_data = np.matmul(my, np.matmul(x.data, mx.T))
 
     def backward(g):
@@ -575,11 +526,11 @@ def bilinear_resize(x, out_h, out_w, align_corners=True):
 
 # -- reductions -----------------------------------------------------------
 
-_REDUCE_AXES = {"channel": (0,), "spatial": (1, 2), "all": (0, 1, 2)}
+_REDUCE_AXES = {"channel": (0,), "spatial": (1, 2)}
 
 
 def reduce(x, op, axis):
-    """Reduce a C x H x W map over channel, spatial, or all axes (keepdims)."""
+    """Mean or max of a C x H x W map over its channel or spatial axes (keepdims)."""
     if x.data.ndim != 3:
         raise ShapeError("reduce expects a C x H x W tensor")
     try:
@@ -587,18 +538,15 @@ def reduce(x, op, axis):
     except KeyError:
         raise ConfigError(f"unknown reduce axis {axis!r}") from None
 
-    if op in ("sum", "mean"):
-        acc = x.data.sum(axis=axes, keepdims=True, dtype=np.float64)
+    if op == "mean":
         count = 1
         for a in axes:
             count *= x.data.shape[a]
-        if op == "mean":
-            acc = acc / count
+        acc = x.data.sum(axis=axes, keepdims=True, dtype=np.float64) / count
         out_data = acc.astype(x.dtype)
 
         def backward(g):
-            scale = 1.0 / count if op == "mean" else 1.0
-            _accumulate(x, np.broadcast_to(g * scale, x.data.shape).astype(x.dtype))
+            _accumulate(x, np.broadcast_to(g * (1.0 / count), x.data.shape).astype(x.dtype))
 
     elif op == "max":
         out_data = x.data.max(axis=axes, keepdims=True)

@@ -23,7 +23,6 @@ from dsunet.metrics import (
     EPS,
     e_measure,
     evaluate_dataset,
-    evaluate_pair,
     f_measure,
     mae,
     report_csv,

@@ -98,7 +98,7 @@ class TestContainer:
     def _arrays(self):
         rng = np.random.default_rng(0)
         return {
-            "alpha": rng.standard_normal((3, 4)).astype(np.float32),
+            "gamma": rng.standard_normal((3, 4)).astype(np.float32),
             "beta": rng.standard_normal((2, 2, 2, 2)).astype(np.float32),
             "scalarish": np.array([1.5], dtype=np.float32),
         }

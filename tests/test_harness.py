@@ -311,6 +311,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "trainable fraction" in out
 
+    def test_verify_passes_when_every_check_passes(self, monkeypatch, capsys):
+        import dsunet.verify
+
+        results = [("wavelet", True, "err 0"), ("metric", True, "err 0")]
+        monkeypatch.setattr(dsunet.verify, "run_all", lambda: results)
+        assert cli_main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["[PASS] wavelet: err 0", "[PASS] metric: err 0",
+                         "2/2 checks passed"]
+
+    def test_verify_fails_when_a_check_fails(self, monkeypatch, capsys):
+        import dsunet.verify
+
+        results = [("wavelet", True, "err 0"), ("gradient", False, "rel err 0.2")]
+        monkeypatch.setattr(dsunet.verify, "run_all", lambda: results)
+        assert cli_main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "[FAIL] gradient: rel err 0.2" in lines
+        assert lines[-1] == "1/2 checks passed"
+
     def test_gen_data_writes_layout(self, tmp_path):
         data = str(tmp_path / "d")
         assert cli_main(["gen-data", "--out", data, "--n", "2",

@@ -10,7 +10,6 @@ from dsunet.metrics import (
     compute_report,
     e_measure,
     evaluate_dataset,
-    evaluate_pair,
     f_measure,
     mae,
     report_csv,
@@ -50,7 +49,7 @@ def oracle_f(pred, gt, thr, beta2=0.3):
     return (1 + beta2) * prec * rec / (beta2 * prec + rec)
 
 
-def oracle_s(pred, gt, alpha=0.5):
+def oracle_s(pred, gt):
     """Independent straight-line structural score."""
     gtb = (gt >= 0.5).astype(np.float64)
     mu = gtb.mean()
@@ -79,7 +78,7 @@ def oracle_s(pred, gt, alpha=0.5):
         den = (xm**2 + ym**2) * (((x - xm) ** 2).mean() + ((y - ym) ** 2).mean())
         q = 1.0 if (num == 0.0 and den == 0.0) else num / (den + EPS)
         sr += x.size / (h * w) * q
-    return max(0.0, alpha * so + (1 - alpha) * sr)
+    return max(0.0, 0.5 * so + 0.5 * sr)
 
 
 def random_pair(seed, h=24, w=24):
@@ -440,11 +439,6 @@ class TestReports:
                          ("e_measure", True, ("adaptive",)),
                          ("e_measure", True, ("mean_thresholds",)),
                          ("mae", True, ())]
-
-    def test_evaluate_pair_keys(self):
-        pred, gt = random_pair(5)
-        rep = evaluate_pair(pred, gt)
-        assert set(rep) == {"S", "Fadp", "Fmean", "Eadp", "Emean", "MAE"}
 
 
 class TestEvaluateDataset:

@@ -15,7 +15,6 @@ from dsunet.tensor import (
     _accumulate,
     _make,
     add,
-    avg_pool2d,
     bilinear_resize,
     cast_all,
     concat,
@@ -28,7 +27,6 @@ from dsunet.tensor import (
     mul,
     narrow,
     pad_reflect_br,
-    pointwise_activation,
     reduce,
     relu,
     reshape,
@@ -255,15 +253,6 @@ class TestActivations:
         assert got.tobytes() == want.tobytes()
         assert sigmoid(Tensor(z)).data.tobytes() == want.tobytes()
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            pointwise_activation(Tensor([1.0]), "tanh")
-
-    def test_dispatch(self):
-        x = Tensor([-1.0, 2.0])
-        np.testing.assert_array_equal(pointwise_activation(x, "relu").data,
-                                      relu(x).data)
-
 
 class TestBilinearResize:
     def test_identity_size(self):
@@ -273,7 +262,7 @@ class TestBilinearResize:
 
     def test_2x2_to_3x3_center(self):
         x = Tensor(np.array([[[0.0, 1.0], [2.0, 3.0]]]))
-        out = bilinear_resize(x, 3, 3, align_corners=True)
+        out = bilinear_resize(x, 3, 3)
         assert out.data[0, 1, 1] == pytest.approx(1.5)
         np.testing.assert_allclose(out.data[0, 0], [0.0, 0.5, 1.0])
 
@@ -289,62 +278,33 @@ class TestBilinearResize:
         assert grad_check(lambda: bilinear_resize(x, 7, 3), [x]) < 1e-6
 
 
-class TestAvgPool:
-    def test_constant_interior(self):
-        x = Tensor(np.full((1, 6, 6), 2.5, dtype=np.float32))
-        out = avg_pool2d(x, 3, stride=1, padding=0)
-        np.testing.assert_allclose(out.data, 2.5, rtol=1e-6)
-
-    def test_1x1_identity(self):
-        x = Tensor(np.random.default_rng(1).random((2, 3, 3)))
-        out = avg_pool2d(x, 1)
-        np.testing.assert_allclose(out.data, x.data, rtol=1e-6)
-
-    def test_count_include_pad_corner(self):
-        x = Tensor(np.ones((1, 2, 2), dtype=np.float32))
-        out = avg_pool2d(x, 3, stride=1, padding=1)
-        assert out.data[0, 0, 0] == pytest.approx(4.0 / 9.0)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((2, 4, 4)))
-        cast_all([x], np.float64)
-        assert grad_check(lambda: avg_pool2d(x, 3, stride=1, padding=1), [x]) < 1e-6
-
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
-    def test_matches_a_uniform_depthwise_conv(self, stride, padding):
-        x = np.random.default_rng(3).standard_normal((2, 3, 7, 6))
-        w = np.full((3, 1, 3, 3), 1.0 / 9.0)
-        want = brute_force_conv(x, w, None, stride, padding, 1, groups=3)
-        got = avg_pool2d(Tensor(x), 3, stride, padding).data
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-
-
 class TestReduce:
     def test_mean_of_ones(self):
-        out = reduce(Tensor(np.ones((2, 3, 3))), "mean", "all")
-        assert out.data.reshape(()) == 1.0
+        out = reduce(Tensor(np.ones((2, 3, 3))), "mean", "spatial")
+        np.testing.assert_array_equal(out.data, np.ones((2, 1, 1)))
 
     def test_max(self):
-        out = reduce(Tensor(np.array([[[-1.0]], [[2.0]]])), "max", "all")
+        out = reduce(Tensor(np.array([[[-1.0]], [[2.0]]])), "max", "channel")
         assert out.data.reshape(()) == 2.0
 
     def test_channel_shapes(self):
         x = Tensor(np.random.default_rng(2).random((4, 3, 5)))
         assert reduce(x, "mean", "channel").shape == (1, 3, 5)
         assert reduce(x, "max", "channel").shape == (1, 3, 5)
-        assert reduce(x, "sum", "spatial").shape == (4, 1, 1)
+        assert reduce(x, "mean", "spatial").shape == (4, 1, 1)
 
-    def test_sum_gradient_is_broadcast(self):
-        x = Tensor(np.random.default_rng(3).random((2, 2, 2)))
-        x.requires_grad = True
-        reduce(x, "sum", "all").backward()
-        np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+    @pytest.mark.parametrize("op,axis,message", [
+        ("sum", "spatial", "unknown reduce op 'sum'"),
+        ("mean", "all", "unknown reduce axis 'all'"),
+    ], ids=["sum-op", "all-axis"])
+    def test_unsupported_op_or_axis_raises(self, op, axis, message):
+        with pytest.raises(ConfigError, match=message):
+            reduce(Tensor(np.ones((2, 3, 3))), op, axis)
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
-        for op in ("mean", "sum", "max"):
-            for axis in ("channel", "spatial", "all"):
+        for op in ("mean", "max"):
+            for axis in ("channel", "spatial"):
                 x = Tensor(rng.standard_normal((3, 4, 4)))
                 cast_all([x], np.float64)
                 assert grad_check(lambda: reduce(x, op, axis), [x]) < 1e-6
@@ -444,7 +404,6 @@ _OP_CASES = {
     "relu": ([(2, 3, 3)], relu),
     "sigmoid": ([(2, 3, 3)], sigmoid),
     "gelu": ([(2, 3, 3)], gelu),
-    "pointwise_activation": ([(2, 3, 3)], lambda x: pointwise_activation(x, "gelu")),
     "reshape": ([(2, 3, 4)], lambda x: reshape(x, (6, 4))),
     "transpose": ([(2, 3, 4)], lambda x: transpose(x, (2, 0, 1))),
     "concat": ([(2, 3, 3), (1, 3, 3)], lambda a, b: concat([a, b], axis=0)),
@@ -460,10 +419,8 @@ _OP_CASES = {
     "conv2d-grouped": ([(4, 5, 5), (6, 2, 3, 3)],
                        lambda x, w: conv2d(x, w, None, ConvSpec(
                            4, 6, (3, 3), stride=2, dilation=2, padding=2, groups=2))),
-    "avg_pool2d": ([(2, 5, 5)], lambda x: avg_pool2d(x, 3, 1, 1)),
     "bilinear_resize": ([(2, 3, 4)], lambda x: bilinear_resize(x, 5, 7)),
     "reduce-mean": ([(3, 4, 4)], lambda x: reduce(x, "mean", "spatial")),
-    "reduce-sum": ([(3, 4, 4)], lambda x: reduce(x, "sum", "all")),
     "reduce-max": ([(3, 4, 4)], lambda x: reduce(x, "max", "channel")),
     "softmax_over_branch": ([(3, 4, 4)], softmax_over_branch),
     "weighted_bce": ([(1, 6, 6)], lambda z: weighted_bce(z, _GT, _GT_WEIGHTS)),
