@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .encoders import FeaturePyramid, ToyHiera, ToyViT
-from .nn import Conv2d, Linear, Module
+from .nn import Conv2d, Linear, Module, seeded_init
 from .tensor import (
     ShapeError,
     Tensor,
@@ -133,11 +133,11 @@ class Adapter(Module):
     features unperturbed.
     """
 
-    def __init__(self, channels, ratio, rng):
+    def __init__(self, channels, ratio, init):
         super().__init__()
         bottleneck = max(1, round(channels * ratio))
-        self.down = self.add("down", Linear(channels, bottleneck, rng))
-        self.up = self.add("up", Linear(bottleneck, channels, rng))
+        self.down = self.add("down", Linear(channels, bottleneck, init))
+        self.up = self.add("up", Linear(bottleneck, channels, init))
         self.up.weight.data[:] = 0.0
         self.up.bias.data[:] = 0.0
 
@@ -157,13 +157,13 @@ class WaveletDownsample(Module):
     -> crop -> pointwise 1x1 -> bilinear resize to the target extent.
     """
 
-    def __init__(self, channels, rng):
+    def __init__(self, channels, init):
         super().__init__()
         self.channels = channels
         self.subband = self.add(
-            "subband", Conv2d(4 * channels, 4 * channels, 3, rng, padding=1,
+            "subband", Conv2d(4 * channels, 4 * channels, 3, init, padding=1,
                               groups=4 * channels))
-        self.pointwise = self.add("pointwise", Conv2d(channels, channels, 1, rng))
+        self.pointwise = self.add("pointwise", Conv2d(channels, channels, 1, init))
 
     def identity_init(self):
         """Make the block an exact bilinear resize (used by the contract test)."""
@@ -199,17 +199,17 @@ class RFB(Module):
 
     DILATIONS = (3, 5, 7)
 
-    def __init__(self, in_channels, out_channels, rng):
+    def __init__(self, in_channels, out_channels, init):
         super().__init__()
         q = max(1, out_channels // 4)
-        self.reduce0 = self.add("reduce0", Conv2d(in_channels, q, 1, rng))
+        self.reduce0 = self.add("reduce0", Conv2d(in_channels, q, 1, init))
         self.branches = []
         for i, d in enumerate(self.DILATIONS, start=1):
-            red = self.add(f"reduce{i}", Conv2d(in_channels, q, 1, rng))
-            dil = self.add(f"dilated{i}", Conv2d(q, q, 3, rng, padding=d, dilation=d))
+            red = self.add(f"reduce{i}", Conv2d(in_channels, q, 1, init))
+            dil = self.add(f"dilated{i}", Conv2d(q, q, 3, init, padding=d, dilation=d))
             self.branches.append((red, dil))
-        self.mix = self.add("mix", Conv2d(4 * q, out_channels, 3, rng, padding=1))
-        self.shortcut = self.add("shortcut", Conv2d(in_channels, out_channels, 1, rng))
+        self.mix = self.add("mix", Conv2d(4 * q, out_channels, 3, init, padding=1))
+        self.shortcut = self.add("shortcut", Conv2d(in_channels, out_channels, 1, init))
 
     def forward(self, x):
         feats = [self.reduce0(x)]
@@ -229,17 +229,17 @@ class CGA(Module):
     convexly blend the two inputs before a final 1x1 projection.
     """
 
-    def __init__(self, channels, rng):
+    def __init__(self, channels, init):
         super().__init__()
         hidden = max(1, channels // 4)
-        self.ch_down = self.add("ch_down", Linear(channels, hidden, rng))
-        self.ch_up = self.add("ch_up", Linear(hidden, channels, rng))
-        self.spatial = self.add("spatial", Conv2d(2, 1, 7, rng, padding=3))
+        self.ch_down = self.add("ch_down", Linear(channels, hidden, init))
+        self.ch_up = self.add("ch_up", Linear(hidden, channels, init))
+        self.spatial = self.add("spatial", Conv2d(2, 1, 7, init, padding=3))
         self.px_depthwise = self.add(
-            "px_depthwise", Conv2d(channels, channels, 3, rng, padding=1,
+            "px_depthwise", Conv2d(channels, channels, 3, init, padding=1,
                                    groups=channels))
-        self.px_pointwise = self.add("px_pointwise", Conv2d(channels, channels, 1, rng))
-        self.proj = self.add("proj", Conv2d(channels, channels, 1, rng))
+        self.px_pointwise = self.add("px_pointwise", Conv2d(channels, channels, 1, init))
+        self.proj = self.add("proj", Conv2d(channels, channels, 1, init))
 
     def forward(self, x, y, return_internals=False):
         if x.data.shape != y.data.shape:
@@ -271,10 +271,10 @@ class CGA(Module):
 class SFF(Module):
     """Per-pixel softmax blending of a fine map and an upsampled coarse map."""
 
-    def __init__(self, channels, rng):
+    def __init__(self, channels, init):
         super().__init__()
-        self.gate = self.add("gate", Conv2d(2 * channels, 2, 1, rng))
-        self.out = self.add("out", Conv2d(channels, channels, 3, rng, padding=1))
+        self.gate = self.add("gate", Conv2d(2 * channels, 2, 1, init))
+        self.out = self.add("out", Conv2d(channels, channels, 3, init, padding=1))
 
     def forward(self, low, high, return_weights=False):
         if low.data.shape[0] != high.data.shape[0]:
@@ -297,9 +297,9 @@ class SFF(Module):
 class DecodeHead(Module):
     """1x1 point-wise convolution to logits, then bilinear upsampling."""
 
-    def __init__(self, channels, rng):
+    def __init__(self, channels, init):
         super().__init__()
-        self.proj = self.add("proj", Conv2d(channels, 1, 1, rng))
+        self.proj = self.add("proj", Conv2d(channels, 1, 1, init))
 
     def forward(self, x, out_h, out_w):
         return bilinear_resize(self.proj(x), out_h, out_w)
@@ -326,19 +326,23 @@ class DSUNet(Module):
     fusions, SFF decoders, and heads.  Both encoders are frozen.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, init=None):
+        """``init`` defaults to uniform draws from ``default_rng(config.seed)``;
+        pass :func:`dsunet.nn.placeholder_init` when every value is assigned
+        afterwards (a loaded checkpoint) or never read (parameter counting)."""
         super().__init__()
         self.config = config
         profile = config.resolved_profile
         self.profile = profile
-        rng = np.random.default_rng(config.seed)
+        if init is None:
+            init = seeded_init(np.random.default_rng(config.seed))
 
-        self.hiera = self.add("encoder.hiera", ToyHiera(profile, rng))
-        self.vit = self.add("encoder.vit", ToyViT(profile, rng))
+        self.hiera = self.add("encoder.hiera", ToyHiera(profile, init))
+        self.vit = self.add("encoder.vit", ToyViT(profile, init))
 
         chans = profile.hiera_channels
         self.adapters = [
-            self.add(f"adapter{i + 1}", Adapter(c, config.adapter_ratio, rng))
+            self.add(f"adapter{i + 1}", Adapter(c, config.adapter_ratio, init))
             for i, c in enumerate(chans)
         ]
 
@@ -346,20 +350,20 @@ class DSUNet(Module):
         self.wtds = []
         self.cgas = []
         if variant == "full":
-            self.wtds = [self.add("wtd", WaveletDownsample(chans[3], rng))]
-            self.cgas = [self.add("cga", CGA(chans[3], rng))]
+            self.wtds = [self.add("wtd", WaveletDownsample(chans[3], init))]
+            self.cgas = [self.add("cga", CGA(chans[3], init))]
         elif variant in ("B", "C"):
             for i, c in enumerate(chans):
                 self.wtds.append(
-                    self.add(f"wtd{i + 1}", WaveletDownsample(c, rng)))
-                self.cgas.append(self.add(f"cga{i + 1}", CGA(c, rng)))
+                    self.add(f"wtd{i + 1}", WaveletDownsample(c, init)))
+                self.cgas.append(self.add(f"cga{i + 1}", CGA(c, init)))
 
         rc = config.reduced_channels
         self.rfbs = [
-            self.add(f"rfb{i + 1}", RFB(c, rc, rng)) for i, c in enumerate(chans)
+            self.add(f"rfb{i + 1}", RFB(c, rc, init)) for i, c in enumerate(chans)
         ]
-        self.sffs = [self.add(f"sff{i + 1}", SFF(rc, rng)) for i in range(3)]
-        self.heads = [self.add(f"head{i + 1}", DecodeHead(rc, rng)) for i in range(3)]
+        self.sffs = [self.add(f"sff{i + 1}", SFF(rc, init)) for i in range(3)]
+        self.heads = [self.add(f"head{i + 1}", DecodeHead(rc, init)) for i in range(3)]
 
         self.hiera.freeze()
         self.vit.freeze()

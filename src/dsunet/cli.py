@@ -10,6 +10,7 @@ from .blocks import DSUNet
 from .config import parse_config_file
 from .data import generate_dataset, write_dataset
 from .metrics import evaluate_dataset, report_csv, report_table
+from .nn import placeholder_init
 
 
 def _cmd_gen_data(args):
@@ -62,7 +63,7 @@ def _cmd_ablate(args):
 
 def _cmd_params(args):
     run = parse_config_file(args.config)
-    model = DSUNet(run.model)
+    model = DSUNet(run.model, init=placeholder_init)
     print(harness.format_parameter_report(model), end="")
     return 0
 

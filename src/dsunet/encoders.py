@@ -34,19 +34,19 @@ class FeaturePyramid:
 class ToyHiera(Module):
     """Four stages of stride-2 convolution blocks with channel doubling."""
 
-    def __init__(self, profile: Profile, rng):
+    def __init__(self, profile: Profile, init):
         super().__init__()
         chans = profile.hiera_channels
-        self.stem = self.add("stem", Conv2d(3, chans[0] // 2, 3, rng, stride=2,
+        self.stem = self.add("stem", Conv2d(3, chans[0] // 2, 3, init, stride=2,
                                             padding=1, trainable=False))
         self.stages = []
         prev = chans[0] // 2
         for i, c in enumerate(chans):
             down = self.add(f"stage{i + 1}.down",
-                            Conv2d(prev, c, 3, rng, stride=2, padding=1,
+                            Conv2d(prev, c, 3, init, stride=2, padding=1,
                                    trainable=False))
             mix = self.add(f"stage{i + 1}.mix",
-                           Conv2d(c, c, 3, rng, padding=1, trainable=False))
+                           Conv2d(c, c, 3, init, padding=1, trainable=False))
             self.stages.append((down, mix))
             prev = c
 
@@ -74,18 +74,18 @@ class ToyViT(Module):
 
     N_BLOCKS = 4
 
-    def __init__(self, profile: Profile, rng):
+    def __init__(self, profile: Profile, init):
         super().__init__()
         c = profile.vit_channels
         self.patch = profile.patch
-        self.embed = self.add("embed", Conv2d(3, c, profile.patch, rng,
+        self.embed = self.add("embed", Conv2d(3, c, profile.patch, init,
                                               stride=profile.patch, trainable=False))
         self.blocks = []
         for i in range(self.N_BLOCKS):
             dw = self.add(f"block{i + 1}.token_mix",
-                          Conv2d(c, c, 3, rng, padding=1, groups=c, trainable=False))
+                          Conv2d(c, c, 3, init, padding=1, groups=c, trainable=False))
             pw = self.add(f"block{i + 1}.channel_mix",
-                          Conv2d(c, c, 1, rng, trainable=False))
+                          Conv2d(c, c, 1, init, trainable=False))
             self.blocks.append((dw, pw))
 
     def forward(self, image):

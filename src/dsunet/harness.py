@@ -21,6 +21,7 @@ from .data import (
 )
 from .losses import total_loss
 from .metrics import compute_report
+from .nn import placeholder_init
 from .optim import AdamW
 from .tensor import Tensor, logistic
 
@@ -48,8 +49,9 @@ def save_checkpoint(path, model, run_config, optimizer=None):
 def load_checkpoint(path):
     """Returns (model, run_config, raw tensor dict).
 
-    The model's parameters are the arrays that :func:`read_container`
-    returned, not copies: the raw dict shares them with the model, so writing
+    The model is built from the config with placeholder storage and no random
+    draw; each parameter is then the array that :func:`read_container`
+    returned, not a copy: the raw dict shares them with the model, so writing
     into one changes the other.
     """
     from .config import parse_config_text
@@ -57,7 +59,7 @@ def load_checkpoint(path):
     tensors = read_container(path, magic=MAGIC_CHECKPOINT)
     config_text = bytes(tensors["__config__"].astype(np.uint8)).decode("utf-8")
     run = parse_config_text(config_text)
-    model = DSUNet(run.model)
+    model = DSUNet(run.model, init=placeholder_init)
     for name, p in model.named_parameters().items():
         if name not in tensors:
             raise KeyError(f"checkpoint is missing parameter {name!r}")

@@ -1,6 +1,14 @@
-"""Parameter registry and thin layer wrappers over the tensor ops."""
+"""Parameter registry and thin layer wrappers over the tensor ops.
+
+Layers take an initialiser ``init(shape, fan_in) -> float32 array`` and call
+it once per parameter, in registration order.  A fresh model passes
+:func:`seeded_init`; a model whose values are assigned right after
+construction (a loaded checkpoint) passes :func:`placeholder_init`.
+"""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -52,8 +60,19 @@ def uniform_init(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
+def seeded_init(rng):
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws from ``rng``, in call order."""
+    return partial(uniform_init, rng)
+
+
+def placeholder_init(shape, fan_in):
+    """Uninitialised float32 storage for a parameter whose value is assigned
+    next; no random draw, and the pages of a large array are never touched."""
+    return np.empty(shape, dtype=np.float32)
+
+
 class Conv2d(Module):
-    def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
+    def __init__(self, in_channels, out_channels, kernel, init, stride=1, padding=0,
                  dilation=1, groups=1, bias=True, trainable=True):
         super().__init__()
         if isinstance(kernel, int):
@@ -64,14 +83,13 @@ class Conv2d(Module):
         fan_in = (in_channels // groups) * kh * kw
         self.weight = self.register(
             "weight",
-            Tensor(uniform_init(rng, (out_channels, in_channels // groups, kh, kw),
-                                fan_in), trainable=trainable),
+            Tensor(init((out_channels, in_channels // groups, kh, kw), fan_in),
+                   trainable=trainable),
         )
         self.bias = None
         if bias:
             self.bias = self.register(
-                "bias", Tensor(uniform_init(rng, (out_channels,), fan_in),
-                               trainable=trainable)
+                "bias", Tensor(init((out_channels,), fan_in), trainable=trainable)
             )
 
     def forward(self, x):
@@ -81,19 +99,17 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng, bias=True, trainable=True):
+    def __init__(self, in_features, out_features, init, bias=True, trainable=True):
         super().__init__()
         self.weight = self.register(
             "weight",
-            Tensor(uniform_init(rng, (in_features, out_features), in_features),
-                   trainable=trainable),
+            Tensor(init((in_features, out_features), in_features), trainable=trainable),
         )
         self.bias = None
         if bias:
             self.bias = self.register(
                 "bias",
-                Tensor(uniform_init(rng, (out_features,), in_features),
-                       trainable=trainable),
+                Tensor(init((out_features,), in_features), trainable=trainable),
             )
 
     def forward(self, x):

@@ -18,7 +18,7 @@ from .blocks import (
     haar_idwt2,
 )
 from .metrics import e_measure, f_measure, mae, s_measure
-from .nn import Conv2d, Linear
+from .nn import Conv2d, Linear, seeded_init
 from .tensor import Tensor, bilinear_resize, cast_all, gelu, grad_check
 
 
@@ -93,16 +93,17 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         crng = np.random.default_rng(seed + 500)
+        init = seeded_init(rng)   # parameters and inputs share one stream
 
-        lin = Linear(4, 2, rng)
+        lin = Linear(4, 2, init)
         x = Tensor(rng.standard_normal((3, 4)))
         tensors = list(lin.parameters()) + [x]
         cast_all(tensors, np.float64)
         worst["linear"] = max(worst.get("linear", 0.0),
                               grad_check(lambda: lin(x), tensors, rng=crng))
 
-        c1 = Conv2d(2, 3, 3, rng, padding=1)
-        c2 = Conv2d(3, 2, 3, rng, padding=1)
+        c1 = Conv2d(2, 3, 3, init, padding=1)
+        c2 = Conv2d(3, 2, 3, init, padding=1)
         x = Tensor(rng.standard_normal((2, 5, 5)))
         tensors = c1.parameters() + c2.parameters() + [x]
         cast_all(tensors, np.float64)
@@ -110,7 +111,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
             worst.get("conv_gelu_conv", 0.0),
             grad_check(lambda: c2(gelu(c1(x))), tensors, rng=crng))
 
-        adapter = Adapter(8, 0.25, rng)
+        adapter = Adapter(8, 0.25, init)
         adapter.up.weight.data = rng.standard_normal(
             adapter.up.weight.data.shape).astype(np.float32) * 0.1
         x = Tensor(rng.standard_normal((8, 4, 4)))
@@ -119,7 +120,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
         worst["adapter"] = max(worst.get("adapter", 0.0),
                                grad_check(lambda: adapter(x), tensors, rng=crng))
 
-        rfb = RFB(8, 8, rng)
+        rfb = RFB(8, 8, init)
         x = Tensor(rng.standard_normal((8, 6, 6)))
         tensors = rfb.parameters() + [x]
         cast_all(tensors, np.float64)
@@ -127,7 +128,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
                            grad_check(lambda: rfb(x), tensors, rng=crng,
                                       max_coords=24))
 
-        cga = CGA(8, rng)
+        cga = CGA(8, init)
         x = Tensor(rng.standard_normal((8, 4, 4)))
         y = Tensor(rng.standard_normal((8, 4, 4)))
         tensors = cga.parameters() + [x, y]
@@ -136,7 +137,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
                            grad_check(lambda: cga(x, y), tensors, rng=crng,
                                       max_coords=24))
 
-        sff = SFF(4, rng)
+        sff = SFF(4, init)
         low = Tensor(rng.standard_normal((4, 6, 6)))
         high = Tensor(rng.standard_normal((4, 3, 3)))
         tensors = sff.parameters() + [low, high]
@@ -145,7 +146,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
                            grad_check(lambda: sff(low, high), tensors, rng=crng,
                                       max_coords=24))
 
-        wtd = WaveletDownsample(3, rng)
+        wtd = WaveletDownsample(3, init)
         x = Tensor(rng.standard_normal((3, 7, 7)))
         tensors = wtd.parameters() + [x]
         cast_all(tensors, np.float64)
@@ -168,7 +169,7 @@ def check_wavelets(seeds=range(5)):
                     f"max abs err {worst_recon:.2e} on 3x8x8"))
 
     rng = np.random.default_rng(7)
-    wtd = WaveletDownsample(4, rng).identity_init()
+    wtd = WaveletDownsample(4, seeded_init(rng)).identity_init()
     worst_id = 0.0
     for seed in seeds:
         srng = np.random.default_rng(seed + 100)

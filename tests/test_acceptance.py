@@ -28,6 +28,7 @@ from dsunet.metrics import (
     report_csv,
     s_measure,
 )
+from dsunet.nn import seeded_init
 from dsunet.optim import AdamW
 from dsunet.tensor import Tensor, cast_all, grad_check
 from dsunet.verify import check_block_gradients, check_metric_oracles, check_wavelets
@@ -183,7 +184,7 @@ def test_criterion_04_metric_oracles():
 
     # SFF branch weights form a per-pixel partition of unity
     rng = np.random.default_rng(0)
-    sff = SFF(8, rng=rng)
+    sff = SFF(8, init=seeded_init(rng))
     low = Tensor(rng.standard_normal((8, 6, 6)).astype(np.float32))
     high = Tensor(rng.standard_normal((8, 3, 3)).astype(np.float32))
     _, weights = sff.forward(low, high, return_weights=True)

@@ -21,6 +21,7 @@ from dsunet.encoders import (
     load_pyramid,
     write_feature_file,
 )
+from dsunet.nn import seeded_init
 from dsunet.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -45,7 +46,7 @@ class TestProfiles:
 class TestToyHiera:
     def test_pyramid_shapes(self):
         p = PROFILES["toy"]
-        enc = ToyHiera(p, np.random.default_rng(0))
+        enc = ToyHiera(p, seeded_init(np.random.default_rng(0)))
         img = Tensor(np.random.default_rng(1).random(
             (3, p.main_size, p.main_size)).astype(np.float32))
         outs = enc(img)
@@ -53,19 +54,19 @@ class TestToyHiera:
             assert out.shape == shape
 
     def test_rejects_indivisible_size(self):
-        enc = ToyHiera(PROFILES["toy"], np.random.default_rng(0))
+        enc = ToyHiera(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
         with pytest.raises(ShapeError, match="divisible"):
             enc(Tensor(np.zeros((3, 50, 50), dtype=np.float32)))
 
     def test_parameters_frozen(self):
-        enc = ToyHiera(PROFILES["toy"], np.random.default_rng(0))
+        enc = ToyHiera(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
         assert all(not p.trainable for p in enc.named_parameters().values())
 
 
 class TestToyViT:
     def test_token_map_shape_and_taps(self):
         p = PROFILES["toy"]
-        enc = ToyViT(p, np.random.default_rng(0))
+        enc = ToyViT(p, seeded_init(np.random.default_rng(0)))
         img = Tensor(np.random.default_rng(1).random(
             (3, p.aux_size, p.aux_size)).astype(np.float32))
         v, taps = enc(img)
@@ -75,7 +76,7 @@ class TestToyViT:
             assert t.shape == v.shape
 
     def test_rejects_non_patch_multiple(self):
-        enc = ToyViT(PROFILES["toy"], np.random.default_rng(0))
+        enc = ToyViT(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
         with pytest.raises(ShapeError, match="divisible"):
             enc(Tensor(np.zeros((3, 100, 100), dtype=np.float32)))
 

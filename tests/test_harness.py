@@ -1,12 +1,15 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dsunet.nn
 from dsunet.blocks import DSUNet
 from dsunet.cli import main as cli_main
-from dsunet.config import ModelConfig, RunConfig, render_config
+from dsunet.config import ModelConfig, RunConfig, parse_config_file, render_config
+from dsunet.container import MAGIC_CHECKPOINT, read_container, write_container
 from dsunet.data import generate_sample, read_pgm
 from dsunet.harness import (
     LOG_HEADER,
@@ -141,6 +144,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    def test_missing_parameter_detected(self, tmp_path):
+        run = tiny_run(str(tmp_path))
+        path = str(tmp_path / "m.dsut")
+        save_checkpoint(path, DSUNet(run.model), run)
+        tensors = read_container(path, magic=MAGIC_CHECKPOINT)
+        name = "adapter2.up.weight"
+        del tensors[name]
+        write_container(path, tensors, magic=MAGIC_CHECKPOINT)
+        with pytest.raises(KeyError, match=re.escape(repr(name))):
+            load_checkpoint(path)
+
     def test_loaded_parameters_are_owned_writeable_float32(self, tmp_path):
         run = tiny_run(str(tmp_path))
         path = str(tmp_path / "m.dsut")
@@ -150,6 +164,47 @@ class TestCheckpoint:
             assert p.data.dtype == np.float32
             assert p.data.flags.owndata and p.data.flags.writeable
             assert p.data is raw[name]
+
+
+class TestLoadDrawsNothing:
+    """A loaded model gets its values from the checkpoint, not from a draw."""
+
+    def _checkpoint(self, tmp_path):
+        # non-zero adapter up-projections: a construction-time zeroing that
+        # reached the loaded values would show
+        run = tiny_run(str(tmp_path))
+        model = DSUNet(run.model)
+        rng = np.random.default_rng(3)
+        for ad in model.adapters:
+            for p in (ad.up.weight, ad.up.bias):
+                p.data = rng.uniform(0.5, 1.0, p.shape).astype(np.float32)
+        path = str(tmp_path / "m.dsut")
+        save_checkpoint(path, model, run)
+        return path, model
+
+    def test_load_makes_no_random_draw(self, tmp_path, monkeypatch):
+        path, saved = self._checkpoint(tmp_path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random values")
+
+        monkeypatch.setattr(dsunet.nn, "uniform_init", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        model, _, _ = load_checkpoint(path)
+        assert list(model.named_parameters()) == list(saved.named_parameters())
+
+    def test_every_parameter_equals_the_checkpoint_array(self, tmp_path):
+        path, saved = self._checkpoint(tmp_path)
+        on_disk = read_container(path, magic=MAGIC_CHECKPOINT)
+        model, _, raw = load_checkpoint(path)
+        params = model.named_parameters()
+        assert list(params) == list(saved.named_parameters())
+        for name, p in params.items():
+            assert p.data is raw[name]
+            np.testing.assert_array_equal(p.data, on_disk[name])
+            np.testing.assert_array_equal(p.data, saved.named_parameters()[name].data)
+        for ad in model.adapters:
+            assert np.all(ad.up.weight.data >= 0.5) and np.all(ad.up.bias.data >= 0.5)
 
 
 class TestProbabilityMap:
@@ -310,6 +365,19 @@ class TestCLI:
         assert cli_main(["params", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "trainable fraction" in out
+
+    def test_params_report_matches_a_drawn_model_without_a_draw(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = self._config(tmp_path, model=ModelConfig(profile="toy", variant="B",
+                                                       seed=5))
+        want = format_parameter_report(DSUNet(parse_config_file(cfg).model))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("dsu params drew random values")
+
+        monkeypatch.setattr(dsunet.nn, "uniform_init", no_draw)
+        assert cli_main(["params", "--config", cfg]) == 0
+        assert capsys.readouterr().out == want
 
     def test_verify_passes_when_every_check_passes(self, monkeypatch, capsys):
         import dsunet.verify
