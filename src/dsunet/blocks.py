@@ -147,8 +147,6 @@ class Adapter(Module):
         t = gelu(self.up(t))
         return x + transpose(t, (2, 0, 1))
 
-    __call__ = forward
-
 
 class WaveletDownsample(Module):
     """Depthwise-separable convolution in Haar sub-band space, then resize.
@@ -186,8 +184,6 @@ class WaveletDownsample(Module):
         y = self.pointwise(y)
         return bilinear_resize(y, target_h, target_w)
 
-    __call__ = forward
-
 
 class RFB(Module):
     """Parallel dilated branches compressing features to a common width.
@@ -217,8 +213,6 @@ class RFB(Module):
             feats.append(dil(red(x)))
         y = self.mix(concat(feats, axis=0))
         return relu(y + self.shortcut(x))
-
-    __call__ = forward
 
 
 class CGA(Module):
@@ -265,8 +259,6 @@ class CGA(Module):
             }
         return out
 
-    __call__ = forward
-
 
 class SFF(Module):
     """Per-pixel softmax blending of a fine map and an upsampled coarse map."""
@@ -291,8 +283,6 @@ class SFF(Module):
             return out, weights
         return out
 
-    __call__ = forward
-
 
 class DecodeHead(Module):
     """1x1 point-wise convolution to logits, then bilinear upsampling."""
@@ -304,7 +294,12 @@ class DecodeHead(Module):
     def forward(self, x, out_h, out_w):
         return bilinear_resize(self.proj(x), out_h, out_w)
 
-    __call__ = forward
+
+# pyramid levels (0 = S1 .. 3 = S4) whose adapted map is fused with token
+# features through a WTD + CGA pair; variant B fuses ViT tap i into level i,
+# the others fuse the final token map V.  A single fused level registers its
+# pair as wtd/cga, several as wtd1/cga1 .. wtd4/cga4 (checkpoint names).
+FUSED_LEVELS = {"A": (), "B": (0, 1, 2, 3), "C": (0, 1, 2, 3), "full": (3,)}
 
 
 @dataclass
@@ -346,17 +341,13 @@ class DSUNet(Module):
             for i, c in enumerate(chans)
         ]
 
-        variant = config.variant
-        self.wtds = []
-        self.cgas = []
-        if variant == "full":
-            self.wtds = [self.add("wtd", WaveletDownsample(chans[3], init))]
-            self.cgas = [self.add("cga", CGA(chans[3], init))]
-        elif variant in ("B", "C"):
-            for i, c in enumerate(chans):
-                self.wtds.append(
-                    self.add(f"wtd{i + 1}", WaveletDownsample(c, init)))
-                self.cgas.append(self.add(f"cga{i + 1}", CGA(c, init)))
+        levels = FUSED_LEVELS[config.variant]
+        self.fusions = []
+        for i in levels:
+            suffix = str(i + 1) if len(levels) > 1 else ""
+            wtd = self.add(f"wtd{suffix}", WaveletDownsample(chans[i], init))
+            cga = self.add(f"cga{suffix}", CGA(chans[i], init))
+            self.fusions.append((i, wtd, cga))
 
         rc = config.reduced_channels
         self.rfbs = [
@@ -364,9 +355,6 @@ class DSUNet(Module):
         ]
         self.sffs = [self.add(f"sff{i + 1}", SFF(rc, init)) for i in range(3)]
         self.heads = [self.add(f"head{i + 1}", DecodeHead(rc, init)) for i in range(3)]
-
-        self.hiera.freeze()
-        self.vit.freeze()
 
     # -- forward ---------------------------------------------------------
 
@@ -381,26 +369,11 @@ class DSUNet(Module):
         out_w = out_w or self.profile.main_size
         adapted = [ad(s) for ad, s in zip(self.adapters, pyramid.levels())]
 
-        variant = self.config.variant
         fused = list(adapted)
-        if variant == "full":
-            s4 = adapted[3]
-            c4 = s4.data.shape[0]
-            _, h4, w4 = s4.data.shape
-            v_res = channel_resample(pyramid.v, c4)
-            fused[3] = self.cgas[0](s4, self.wtds[0](v_res, h4, w4))
-        elif variant in ("B", "C"):
-            if variant == "B":
-                if not pyramid.v_taps or len(pyramid.v_taps) < 4:
-                    raise ShapeError("variant B requires four ViT tap features")
-                sources = pyramid.v_taps[:4]
-            else:
-                sources = [pyramid.v] * 4
-            for i, (s_i, src) in enumerate(zip(adapted, sources)):
-                c_i, h_i, w_i = s_i.data.shape
-                v_res = channel_resample(src, c_i)
-                fused[i] = self.cgas[i](s_i, self.wtds[i](v_res, h_i, w_i))
-        # variant A: token branch absent, fused == adapted
+        for i, wtd, cga in self.fusions:
+            tokens = pyramid.v_taps[i] if self.config.variant == "B" else pyramid.v
+            c_i, h_i, w_i = adapted[i].data.shape
+            fused[i] = cga(adapted[i], wtd(channel_resample(tokens, c_i), h_i, w_i))
 
         x1, x2, x3, x4 = [rfb(t) for rfb, t in zip(self.rfbs, fused)]
         u3 = self.sffs[0](x3, x4)
@@ -416,8 +389,6 @@ class DSUNet(Module):
         return self.forward_pyramid(pyramid, image_main.data.shape[1],
                                     image_main.data.shape[2])
 
-    __call__ = forward
-
     def _check_pyramid(self, pyramid):
         expected = self.profile.pyramid_shapes()
         for name, t in zip(("s1", "s2", "s3", "s4", "v"),
@@ -426,6 +397,16 @@ class DSUNet(Module):
                 raise ShapeError(
                     f"pyramid level {name!r} has shape {t.data.shape}, "
                     f"profile {self.profile.name!r} expects {expected[name]}")
+        if self.config.variant == "B":
+            taps = pyramid.v_taps or []
+            for i, _, _ in self.fusions:
+                name = f"v_tap{i + 1}"
+                if i >= len(taps):
+                    raise ShapeError(f"variant B needs ViT tap {name!r}, "
+                                     f"got {len(taps)} taps")
+                if taps[i].data.shape != expected["v"]:
+                    raise ShapeError(f"ViT tap {name!r} has shape {taps[i].data.shape}, "
+                                     f"variant B expects the shape of 'v', {expected['v']}")
 
     # -- parameter accounting ---------------------------------------------
 

@@ -97,10 +97,11 @@ def write_mask(path, mask):
 
 
 def read_mask(path, binarize=False):
-    """Read a mask; ground truths binarize at raw byte >= 128."""
+    """Read a mask; ground truths binarize at raw byte >= 128, to 0.0/1.0
+    written in place over the map read_pgm returned (no second map)."""
     values = read_pgm(path)
     if binarize:
-        return (values >= 128.0 / 255.0).astype(np.float64)
+        return np.greater_equal(values, 128.0 / 255.0, out=values)
     return values
 
 

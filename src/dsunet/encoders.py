@@ -38,17 +38,16 @@ class ToyHiera(Module):
         super().__init__()
         chans = profile.hiera_channels
         self.stem = self.add("stem", Conv2d(3, chans[0] // 2, 3, init, stride=2,
-                                            padding=1, trainable=False))
+                                            padding=1))
         self.stages = []
         prev = chans[0] // 2
         for i, c in enumerate(chans):
             down = self.add(f"stage{i + 1}.down",
-                            Conv2d(prev, c, 3, init, stride=2, padding=1,
-                                   trainable=False))
-            mix = self.add(f"stage{i + 1}.mix",
-                           Conv2d(c, c, 3, init, padding=1, trainable=False))
+                            Conv2d(prev, c, 3, init, stride=2, padding=1))
+            mix = self.add(f"stage{i + 1}.mix", Conv2d(c, c, 3, init, padding=1))
             self.stages.append((down, mix))
             prev = c
+        self.freeze()
 
     def forward(self, image):
         c, h, w = image.shape
@@ -61,8 +60,6 @@ class ToyHiera(Module):
             x = relu(mix(x))
             outs.append(x)
         return outs
-
-    __call__ = forward
 
 
 class ToyViT(Module):
@@ -79,14 +76,14 @@ class ToyViT(Module):
         c = profile.vit_channels
         self.patch = profile.patch
         self.embed = self.add("embed", Conv2d(3, c, profile.patch, init,
-                                              stride=profile.patch, trainable=False))
+                                              stride=profile.patch))
         self.blocks = []
         for i in range(self.N_BLOCKS):
             dw = self.add(f"block{i + 1}.token_mix",
-                          Conv2d(c, c, 3, init, padding=1, groups=c, trainable=False))
-            pw = self.add(f"block{i + 1}.channel_mix",
-                          Conv2d(c, c, 1, init, trainable=False))
+                          Conv2d(c, c, 3, init, padding=1, groups=c))
+            pw = self.add(f"block{i + 1}.channel_mix", Conv2d(c, c, 1, init))
             self.blocks.append((dw, pw))
+        self.freeze()
 
     def forward(self, image):
         c, h, w = image.shape
@@ -101,8 +98,6 @@ class ToyViT(Module):
             x = x + gelu(pw(x))
             taps.append(x)
         return x, taps
-
-    __call__ = forward
 
 
 def write_feature_file(path, named_tensors):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import DSUNet
-from .config import ModelConfig, RunConfig, render_config
+from .config import VARIANTS, ModelConfig, RunConfig, render_config
 from .container import MAGIC_CHECKPOINT, read_container, write_container
 from .data import (
     Sample,
@@ -218,9 +218,6 @@ def format_parameter_report(model):
 # -- ablation sweep ----------------------------------------------------------
 
 
-ABLATION_ORDER = ("A", "B", "C", "full")
-
-
 def ablate(base_run: RunConfig):
     """Train and evaluate every fusion variant on a shared dataset and seed.
 
@@ -228,7 +225,7 @@ def ablate(base_run: RunConfig):
     ("full") is produced last.
     """
     rows = []
-    for variant in ABLATION_ORDER:
+    for variant in VARIANTS:
         run = replace(base_run,
                       model=replace(base_run.model, variant=variant),
                       out_dir=os.path.join(base_run.out_dir, f"variant_{variant}"))

@@ -241,7 +241,7 @@ def evaluate_dataset(pred_dir, gt_dir):
     for stem in common:
         try:
             pred = read_mask(preds[stem])
-            gt = (read_mask(gts[stem]) >= 0.5).astype(np.float64)
+            gt = read_mask(gts[stem], binarize=True)
             if pred.shape != gt.shape:
                 raise MetricError(
                     f"dimension mismatch: {pred.shape} vs {gt.shape}")

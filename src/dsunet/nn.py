@@ -4,6 +4,8 @@ Layers take an initialiser ``init(shape, fan_in) -> float32 array`` and call
 it once per parameter, in registration order.  A fresh model passes
 :func:`seeded_init`; a model whose values are assigned right after
 construction (a loaded checkpoint) passes :func:`placeholder_init`.
+Every layer has a bias and starts trainable; a module holding frozen weights
+calls :meth:`Module.freeze` at the end of its own ``__init__``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ class Module:
         self._children[name] = module
         return module
 
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
     def named_parameters(self, prefix=""):
         out: dict[str, Tensor] = {}
         for name, p in self._params.items():
@@ -50,10 +55,6 @@ class Module:
             p.requires_grad = False
         return self
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
 
 def uniform_init(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
@@ -73,7 +74,7 @@ def placeholder_init(shape, fan_in):
 
 class Conv2d(Module):
     def __init__(self, in_channels, out_channels, kernel, init, stride=1, padding=0,
-                 dilation=1, groups=1, bias=True, trainable=True):
+                 dilation=1, groups=1):
         super().__init__()
         if isinstance(kernel, int):
             kernel = (kernel, kernel)
@@ -82,37 +83,23 @@ class Conv2d(Module):
         kh, kw = kernel
         fan_in = (in_channels // groups) * kh * kw
         self.weight = self.register(
-            "weight",
-            Tensor(init((out_channels, in_channels // groups, kh, kw), fan_in),
-                   trainable=trainable),
-        )
-        self.bias = None
-        if bias:
-            self.bias = self.register(
-                "bias", Tensor(init((out_channels,), fan_in), trainable=trainable)
-            )
+            "weight", Tensor(init((out_channels, in_channels // groups, kh, kw), fan_in),
+                             trainable=True))
+        self.bias = self.register(
+            "bias", Tensor(init((out_channels,), fan_in), trainable=True))
 
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, self.spec)
 
-    __call__ = forward
-
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, init, bias=True, trainable=True):
+    def __init__(self, in_features, out_features, init):
         super().__init__()
         self.weight = self.register(
-            "weight",
-            Tensor(init((in_features, out_features), in_features), trainable=trainable),
-        )
-        self.bias = None
-        if bias:
-            self.bias = self.register(
-                "bias",
-                Tensor(init((out_features,), in_features), trainable=trainable),
-            )
+            "weight", Tensor(init((in_features, out_features), in_features),
+                             trainable=True))
+        self.bias = self.register(
+            "bias", Tensor(init((out_features,), in_features), trainable=True))
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)
-
-    __call__ = forward

@@ -79,9 +79,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, grad=None):
         """Backpropagate from this tensor through the recorded graph."""
         if grad is None:
@@ -587,6 +584,14 @@ def cast_all(tensors, dtype):
         t.grad = None
 
 
+def _finite_output(fn):
+    out = fn()
+    if not np.all(np.isfinite(out.data)):
+        bad = np.argwhere(~np.isfinite(out.data))[0]
+        raise GradCheckError(f"non-finite forward output at index {tuple(bad.tolist())}")
+    return out
+
+
 def grad_check(fn, tensors, rng=None, step=1e-5, max_coords=None, atol=1e-6):
     """Compare analytic gradients against central finite differences.
 
@@ -603,10 +608,7 @@ def grad_check(fn, tensors, rng=None, step=1e-5, max_coords=None, atol=1e-6):
         t.requires_grad = True
         t.grad = None
     try:
-        out = fn()
-        if not np.all(np.isfinite(out.data)):
-            bad = np.argwhere(~np.isfinite(out.data))[0]
-            raise GradCheckError(f"non-finite forward output at index {tuple(bad)}")
+        out = _finite_output(fn)
         out.backward()
         analytic = [
             t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
@@ -614,11 +616,7 @@ def grad_check(fn, tensors, rng=None, step=1e-5, max_coords=None, atol=1e-6):
         ]
 
         def loss_value():
-            o = fn()
-            if not np.all(np.isfinite(o.data)):
-                bad = np.argwhere(~np.isfinite(o.data))[0]
-                raise GradCheckError(f"non-finite forward output at index {tuple(bad)}")
-            return o.data.sum(dtype=np.float64)
+            return _finite_output(fn).data.sum(dtype=np.float64)
 
         worst = 0.0
         for t, a in zip(tensors, analytic):

@@ -347,6 +347,27 @@ class TestModelAssembly:
             h.update(hashlib.sha256(p.data.tobytes()).digest())
         assert h.hexdigest() == self.PINNED_DIGESTS[variant]
 
+    def _variant_b_pyramid(self):
+        model = DSUNet(ModelConfig(profile="toy", variant="B", seed=0))
+        p = PROFILES["toy"]
+        rng = np.random.default_rng(0)
+        main = Tensor(rng.random((3, p.main_size, p.main_size)).astype(np.float32))
+        aux = Tensor(rng.random((3, p.aux_size, p.aux_size)).astype(np.float32))
+        return model, model.encode(main, aux)
+
+    def test_variant_b_rejects_misshapen_tap(self):
+        model, pyramid = self._variant_b_pyramid()
+        pyramid.v_taps[2] = Tensor(np.zeros((5, 4, 4), dtype=np.float32))
+        with pytest.raises(ShapeError, match="'v_tap3'"):
+            model.forward_pyramid(pyramid)
+
+    @pytest.mark.parametrize("n_taps", [None, 0, 3])
+    def test_variant_b_rejects_missing_taps(self, n_taps):
+        model, pyramid = self._variant_b_pyramid()
+        pyramid.v_taps = None if n_taps is None else pyramid.v_taps[:n_taps]
+        with pytest.raises(ShapeError, match=f"'v_tap{(n_taps or 0) + 1}'"):
+            model.forward_pyramid(pyramid)
+
     def test_variant_a_has_no_aux_fusion_params(self):
         names_full = set(DSUNet(ModelConfig(profile="toy", variant="full",
                                             seed=0)).named_parameters())

@@ -10,6 +10,7 @@ from dsunet.tensor import (
     ConfigError,
     ConvSpec,
     DTypeError,
+    GradCheckError,
     ShapeError,
     Tensor,
     _accumulate,
@@ -379,6 +380,13 @@ class TestGradCheckHarness:
             w = Tensor(rng.standard_normal((4, 3)), trainable=True)
             cast_all([x, w], np.float64)
             assert grad_check(lambda: sigmoid(linear(x, w, None)), [x, w]) < 1e-4
+
+    def test_non_finite_forward_output_raises(self):
+        x = Tensor(np.array([1.0, np.inf, 2.0]))
+        w = Tensor(np.ones(3), trainable=True)
+        with pytest.raises(GradCheckError, match=r"index \(1,\)"):
+            grad_check(lambda: x * w, [w])
+        assert w.requires_grad and w.grad is None
 
 
 class TestDeterminism:
