@@ -28,10 +28,8 @@ from .tensor import (
     pad_reflect_br,
     reduce,
     relu,
-    reshape,
     sigmoid,
     softmax_over_branch,
-    transpose,
 )
 
 
@@ -142,10 +140,7 @@ class Adapter(Module):
         self.up.bias.data[:] = 0.0
 
     def forward(self, x):
-        t = transpose(x, (1, 2, 0))
-        t = gelu(self.down(t))
-        t = gelu(self.up(t))
-        return x + transpose(t, (2, 0, 1))
+        return x + gelu(self.up(gelu(self.down(x))))
 
 
 class WaveletDownsample(Module):
@@ -238,11 +233,9 @@ class CGA(Module):
     def forward(self, x, y, return_internals=False):
         if x.data.shape != y.data.shape:
             raise ShapeError(f"CGA inputs differ: {x.data.shape} vs {y.data.shape}")
-        c = x.data.shape[0]
         u = x + y
-        gap = reshape(reduce(u, "mean", "spatial"), (c,))
+        gap = reduce(u, "mean", "spatial")  # C x 1 x 1
         wc = sigmoid(self.ch_up(relu(self.ch_down(gap))))
-        wc = reshape(wc, (c, 1, 1))
         stats = concat([reduce(u, "mean", "channel"), reduce(u, "max", "channel")],
                        axis=0)
         ws = sigmoid(self.spatial(stats))

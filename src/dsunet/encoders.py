@@ -109,7 +109,8 @@ def write_feature_file(path, named_tensors):
 
 
 def load_pyramid(path, profile: Profile):
-    """Read a DSUF file and validate its shapes against the active profile."""
+    """Read a DSUF file and validate its shapes against the active profile;
+    ViT taps, when present, are read by number as v_tap1 .. v_tapN."""
     arrays = read_container(path, magic=MAGIC_FEATURES)
     expected = profile.pyramid_shapes()
     tensors = {}
@@ -122,9 +123,11 @@ def load_pyramid(path, profile: Profile):
                 f"profile {profile.name!r} expects {shape}"
             )
         tensors[name] = Tensor(arrays[name])
-    taps = None
-    tap_names = sorted(n for n in arrays if n.startswith("v_tap"))
-    if tap_names:
-        taps = [Tensor(arrays[n]) for n in tap_names]
+    n_taps = sum(name.startswith("v_tap") for name in arrays)
+    tap_names = [f"v_tap{i}" for i in range(1, n_taps + 1)]
+    missing = [name for name in tap_names if name not in arrays]
+    if missing:
+        raise ShapeError(f"feature file has {n_taps} ViT taps but no {missing[0]!r}")
+    taps = [Tensor(arrays[name]) for name in tap_names] or None
     return FeaturePyramid(tensors["s1"], tensors["s2"], tensors["s3"], tensors["s4"],
                           tensors["v"], taps)

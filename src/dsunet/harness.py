@@ -103,13 +103,16 @@ def train(run: RunConfig, progress=None, samples=None):
 
     ``samples``, when given, is the training set itself, used as it is
     (no validation samples); otherwise the samples come from
-    ``run.data_dir`` or are generated from ``run.seed``.
+    ``run.data_dir`` or are generated from ``run.seed``; none is a ValueError.
     """
-    os.makedirs(run.out_dir, exist_ok=True)
     if samples is None:
         train_samples, val_samples = _load_or_generate(run)
     else:
         train_samples, val_samples = list(samples), []
+    if not train_samples:
+        raise ValueError("no training samples: n_train is 0, the data_dir "
+                         "manifest lists none, or the given sample list is empty")
+    os.makedirs(run.out_dir, exist_ok=True)
     model = DSUNet(run.model)
     optimizer = AdamW(model.trainable_parameters(), lr=run.lr,
                       weight_decay=run.weight_decay)

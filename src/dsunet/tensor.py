@@ -2,9 +2,10 @@
 
 The network graph is static, so there is no general autograd: every
 operation builds its output tensor with a closure that knows how to push
-gradients to its parents.  Feature maps are C x H x W, batches N x C x H x W,
-row-major float32.  Reductions and the finite-difference oracle accumulate
-in float64.
+gradients to its parents.  Axis 0 is every op's channel axis: maps are
+C x H x W, batches C x N x H x W, and ``linear`` mixes axis 0 per position
+(a 1 x 1 convolution).  Row-major float32; reductions and the finite-difference
+oracle accumulate in float64.
 
 Every op keeps the dtype its operands share: float32 in training and inference,
 float64 in the gradient-check mode (see :func:`cast_all`).  A constant mixed
@@ -257,26 +258,6 @@ def gelu(x):
 # -- shape manipulation ---------------------------------------------------
 
 
-def reshape(x, shape):
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(x, g.reshape(x.data.shape))
-
-    return _make(out_data, (x,), backward)
-
-
-def transpose(x, axes):
-    axes = tuple(axes)
-    out_data = np.transpose(x.data, axes)
-    inv = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accumulate(x, np.transpose(g, inv))
-
-    return _make(out_data, (x,), backward)
-
-
 def concat(tensors, axis=0):
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -344,23 +325,24 @@ def crop2d(x, out_h, out_w):
 
 
 def linear(x, weight, bias=None):
-    """Affine map over the trailing axis: (..., Din) -> (..., Dout)."""
+    """Affine map over the leading (channel) axis: (Din, ...) -> (Dout, ...)."""
     din, dout = weight.data.shape
-    if x.data.shape[-1] != din:
+    if x.data.shape[0] != din:
         raise ShapeError(
-            f"linear: trailing extent {x.data.shape[-1]} != weight Din {din}"
+            f"linear: leading extent {x.data.shape[0]} != weight Din {din}"
         )
-    out_data = x.data @ weight.data
+    x2 = x.data.reshape(din, -1)
+    out = weight.data.T @ x2
     if bias is not None:
-        out_data = out_data + bias.data
+        out += bias.data[:, None]
+    out_data = out.reshape((dout,) + x.data.shape[1:])
 
     def backward(g):
-        g2 = g.reshape(-1, dout)
-        x2 = x.data.reshape(-1, din)
-        _accumulate(x, (g @ weight.data.T).reshape(x.data.shape))
-        _accumulate(weight, x2.T @ g2)
+        g2 = g.reshape(dout, -1)
+        _accumulate(x, (weight.data @ g2).reshape(x.data.shape))
+        _accumulate(weight, x2 @ g2.T)
         if bias is not None:
-            _accumulate(bias, g2.sum(axis=0))
+            _accumulate(bias, g2.sum(axis=1))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)
@@ -409,15 +391,8 @@ def _taps(kh, kw, stride, dil, oh, ow):
             for i in range(kh) for j in range(kw)]
 
 
-def _unpad(gxp, pad, batched):
-    """Crop a padded (N,C,Hp,Wp) input gradient back to the input's shape."""
-    h, w = gxp.shape[2] - 2 * pad, gxp.shape[3] - 2 * pad
-    gx = gxp[:, :, pad : pad + h, pad : pad + w]
-    return gx if batched else gx[0]
-
-
 def conv2d(x, weight, bias, spec):
-    """2-D cross-correlation per ConvSpec; input C x H x W or N x C x H x W.
+    """2-D cross-correlation per ConvSpec; input C x H x W or C x N x H x W.
 
     A depthwise convolution (groups == in == out channels) adds up, per
     kernel tap, a strided view of the padded input times that tap's
@@ -425,9 +400,9 @@ def conv2d(x, weight, bias, spec):
     is groups = 1) over a single im2col copy laid out as
     (groups, Cin/groups * kh * kw, N * OH * OW), which the backward pass reuses.
     """
-    batched = x.data.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, cin, h, w = xd.shape
+    cin, (h, w) = x.data.shape[0], x.data.shape[-2:]
+    xd = x.data.reshape(cin, -1, h, w)
+    n = xd.shape[1]
     kh, kw = spec.kernel
     cout, groups = spec.out_channels, spec.groups
     if cin != spec.in_channels:
@@ -442,46 +417,45 @@ def conv2d(x, weight, bias, spec):
     depthwise = groups == cin == cout
 
     if depthwise:
-        wk = weight.data[:, 0, :, :, None, None]  # (C, kh, kw, 1, 1)
-        out = np.zeros((n, cin, oh, ow), dtype=xd.dtype)
+        wk = weight.data[:, 0, :, :, None, None, None]  # (C, kh, kw, 1, 1, 1)
+        out = np.zeros((cin, n, oh, ow), dtype=xd.dtype)
         for i, j, idx in taps:
             out += xp[idx] * wk[:, i, j]
     else:
         cols = np.empty((cin, kh, kw, n, oh, ow), dtype=xd.dtype)
         for i, j, idx in taps:
-            cols[:, i, j] = xp[idx].transpose(1, 0, 2, 3)
+            cols[:, i, j] = xp[idx]
         cols = cols.reshape(groups, -1, n * oh * ow)
         wm = weight.data.reshape(groups, cout // groups, -1)
-        out = np.matmul(wm, cols).reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
-        out = np.ascontiguousarray(out)
+        out = np.matmul(wm, cols).reshape(cout, n, oh, ow)
     if bias is not None:
-        out += bias.data[:, None, None]
-    out_data = out if batched else out[0]
+        out += bias.data[:, None, None, None]
+    out_data = out.reshape((cout,) + x.data.shape[1:-2] + (oh, ow))
 
     def backward(g):
-        gd = g if batched else g[None]
+        gd = g.reshape(cout, n, oh, ow)
         if bias is not None:
-            _accumulate(bias, gd.sum(axis=(0, 2, 3)))
+            _accumulate(bias, gd.sum(axis=(1, 2, 3)))
         gxp = np.zeros_like(xp) if x.requires_grad else None
         if depthwise:
             if weight.requires_grad:
                 gw = np.empty((cin, kh, kw), dtype=gd.dtype)
                 for i, j, idx in taps:
-                    gw[:, i, j] = np.einsum("nchw,nchw->c", gd, xp[idx])
+                    gw[:, i, j] = np.einsum("cnhw,cnhw->c", gd, xp[idx])
                 _accumulate(weight, gw.reshape(wshape))
             if gxp is not None:
                 for i, j, idx in taps:
                     gxp[idx] += gd * wk[:, i, j]
         else:
-            gm = gd.transpose(1, 0, 2, 3).reshape(groups, cout // groups, n * oh * ow)
+            gm = gd.reshape(groups, cout // groups, n * oh * ow)
             if weight.requires_grad:
                 _accumulate(weight, np.matmul(gm, cols.transpose(0, 2, 1)).reshape(wshape))
             if gxp is not None:
                 gcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(cin, kh, kw, n, oh, ow)
                 for i, j, idx in taps:
-                    gxp[idx] += gcols[:, i, j].transpose(1, 0, 2, 3)
+                    gxp[idx] += gcols[:, i, j]
         if gxp is not None:
-            _accumulate(x, _unpad(gxp, pad, batched))
+            _accumulate(x, gxp[..., pad:pad + h, pad:pad + w].reshape(x.data.shape))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)

@@ -96,7 +96,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
         init = seeded_init(rng)   # parameters and inputs share one stream
 
         lin = Linear(4, 2, init)
-        x = Tensor(rng.standard_normal((3, 4)))
+        x = Tensor(rng.standard_normal((4, 3)))
         tensors = list(lin.parameters()) + [x]
         cast_all(tensors, np.float64)
         worst["linear"] = max(worst.get("linear", 0.0),

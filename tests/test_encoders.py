@@ -272,6 +272,27 @@ class TestFeatureIngestion:
         assert pyr.v_taps is not None and len(pyr.v_taps) == 4
         np.testing.assert_array_equal(pyr.v_taps[2].data, arrays["v_tap3"])
 
+    def test_taps_read_by_number_not_by_name(self, tmp_path):
+        # sorted by name, v_tap10 would come before v_tap2
+        prof = PROFILES["toy"]
+        arrays = self._pyramid_arrays(prof)
+        for i in range(1, 11):
+            arrays[f"v_tap{i}"] = np.full(arrays["v"].shape, i, dtype=np.float32)
+        path = str(tmp_path / "feat.dsuf")
+        write_feature_file(path, arrays)
+        pyr = load_pyramid(path, prof)
+        assert [float(t.data.flat[0]) for t in pyr.v_taps] == list(range(1, 11))
+
+    def test_tap_gap_raises(self, tmp_path):
+        prof = PROFILES["toy"]
+        arrays = self._pyramid_arrays(prof)
+        for i in (1, 3, 4, 5):
+            arrays[f"v_tap{i}"] = np.zeros(arrays["v"].shape, dtype=np.float32)
+        path = str(tmp_path / "feat.dsuf")
+        write_feature_file(path, arrays)
+        with pytest.raises(ShapeError, match="no 'v_tap2'"):
+            load_pyramid(path, prof)
+
 
 class TestConfigFormat:
     def test_defaults(self):

@@ -76,6 +76,10 @@ class TestFitPredict:
         assert any(other.model_.named_parameters()[name].data.tobytes()
                    != p.data.tobytes() for name, p in got.items())
 
+    def test_fit_on_no_samples_raises(self):
+        with pytest.raises(ValueError, match="no training samples"):
+            DSUNetEstimator(**fast_params()).fit([], [])
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             DSUNetEstimator().predict(make_samples(1))

@@ -288,6 +288,25 @@ class TestTraining:
         assert all(a is b for a, b in zip(res.train_samples, samples))
         assert len(res.epoch_rows) == 1
 
+    @pytest.mark.parametrize("route", ["n_train-0", "empty-manifest"])
+    def test_no_training_sample_raises_before_building(self, route, tmp_path,
+                                                       monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr("dsunet.harness.DSUNet", no_model)
+        out = tmp_path / "run"
+        if route == "n_train-0":
+            run = tiny_run(str(out), n_train=0)
+        else:
+            data = tmp_path / "data"
+            data.mkdir()
+            (data / "manifest.txt").write_text("")
+            run = tiny_run(str(out), data_dir=str(data))
+        with pytest.raises(ValueError, match="no training samples"):
+            train(run)
+        assert not out.exists()
+
     def test_training_from_dataset_dir(self, tmp_path):
         data = str(tmp_path / "data")
         assert cli_main(["gen-data", "--out", data, "--n", "6",

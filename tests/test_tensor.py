@@ -30,22 +30,20 @@ from dsunet.tensor import (
     pad_reflect_br,
     reduce,
     relu,
-    reshape,
     sigmoid,
     softmax_over_branch,
-    transpose,
 )
 
 
 def brute_force_conv(x, w, bias, stride, pad, dil, groups=1):
-    """Per-output-pixel loop convolution oracle, in float64."""
-    n, cin, h, w_in = x.shape
+    """Per-output-pixel loop convolution oracle on C x N x H x W, in float64."""
+    cin, n, h, w_in = x.shape
     cout, cpg, kh, kw = w.shape
     opg = cout // groups
     xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = (h + 2 * pad - dil * (kh - 1) - 1) // stride + 1
     ow = (w_in + 2 * pad - dil * (kw - 1) - 1) // stride + 1
-    out = np.zeros((n, cout, oh, ow))
+    out = np.zeros((cout, n, oh, ow))
     for b in range(n):
         for co in range(cout):
             c0 = (co // opg) * cpg  # first input channel of this output's group
@@ -56,11 +54,11 @@ def brute_force_conv(x, w, bias, stride, pad, dil, groups=1):
                         for ki in range(kh):
                             for kj in range(kw):
                                 acc += (
-                                    xp[b, c0 + ci, i * stride + ki * dil,
+                                    xp[c0 + ci, b, i * stride + ki * dil,
                                        j * stride + kj * dil]
                                     * float(w[co, ci, ki, kj])
                                 )
-                    out[b, co, i, j] = acc + (float(bias[co]) if bias is not None else 0.0)
+                    out[co, b, i, j] = acc + (float(bias[co]) if bias is not None else 0.0)
     return out
 
 
@@ -82,22 +80,22 @@ class TestConv2d:
 
     def test_depthwise_channel_independence(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 3, 5, 5)).astype(np.float32)
+        x = rng.standard_normal((3, 1, 5, 5)).astype(np.float32)
         w = Tensor(rng.standard_normal((3, 1, 3, 3)).astype(np.float32))
         spec = ConvSpec(3, 3, (3, 3), padding=1, groups=3)
         base = conv2d(Tensor(x), w, None, spec).data
         x2 = x.copy()
-        x2[0, 1] += 1.0  # perturb channel 1 only
+        x2[1, 0] += 1.0  # perturb channel 1 only
         pert = conv2d(Tensor(x2), w, None, spec).data
         np.testing.assert_array_equal(base[0, 0], pert[0, 0])
-        np.testing.assert_array_equal(base[0, 2], pert[0, 2])
-        assert np.any(base[0, 1] != pert[0, 1])
+        np.testing.assert_array_equal(base[2, 0], pert[2, 0])
+        assert np.any(base[1, 0] != pert[1, 0])
 
     @pytest.mark.parametrize("stride,pad,dil", [(1, 0, 1), (1, 1, 1), (2, 1, 1),
                                                 (1, 2, 2)])
     def test_matches_brute_force(self, stride, pad, dil):
         rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 3, 4, 4))
+        x = rng.standard_normal((3, 2, 4, 4))
         w = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
         spec = ConvSpec(3, 2, (3, 3), stride=stride, padding=pad, dilation=dil)
@@ -113,7 +111,7 @@ class TestConv2d:
         cin, cout, groups = {"dense": (4, 6, 1), "groups2": (4, 6, 2),
                              "depthwise": (4, 4, 4)}[kind]
         rng = np.random.default_rng(100 * stride + 10 * dil + pad)
-        x = rng.standard_normal((2, cin, 9, 8))
+        x = rng.standard_normal((cin, 2, 9, 8))
         w = rng.standard_normal((cout, cin // groups, 3, 2))
         b = rng.standard_normal(cout)
         spec = ConvSpec(cin, cout, (3, 2), stride=stride, padding=pad, dilation=dil,
@@ -122,10 +120,10 @@ class TestConv2d:
             xs, ws, bs = (a.astype(dtype) for a in (x, w, b))
             want = brute_force_conv(xs, ws, bs, stride, pad, dil, groups)
             for batched in (True, False):
-                xin = xs if batched else xs[0]
+                xin = xs if batched else xs[:, 0]
                 got = conv2d(Tensor(xin), Tensor(ws), Tensor(bs), spec).data
                 assert got.dtype == dtype
-                ref = want if batched else want[0]
+                ref = want if batched else want[:, 0]
                 assert got.shape == ref.shape
                 # error relative to the largest output, so a cancelling
                 # output does not count as a large relative error
@@ -134,9 +132,9 @@ class TestConv2d:
     @pytest.mark.parametrize("xshape,spec", [
         ((3, 7, 7), ConvSpec(3, 3, (3, 3), stride=2, padding=1, groups=3)),
         ((3, 7, 6), ConvSpec(3, 3, (3, 3), padding=2, dilation=2, groups=3)),
-        ((2, 3, 5, 5), ConvSpec(3, 3, (3, 3), padding=1, groups=3)),
-        ((2, 4, 5, 5), ConvSpec(4, 6, (3, 3), stride=2, padding=1, groups=2)),
-        ((2, 4, 5, 5), ConvSpec(4, 3, (3, 3), padding=1)),
+        ((3, 2, 5, 5), ConvSpec(3, 3, (3, 3), padding=1, groups=3)),
+        ((4, 2, 5, 5), ConvSpec(4, 6, (3, 3), stride=2, padding=1, groups=2)),
+        ((4, 2, 5, 5), ConvSpec(4, 3, (3, 3), padding=1)),
     ], ids=["depthwise-stride2", "depthwise-dilation2", "depthwise-batched",
             "grouped-batched", "dense-batched"])
     def test_gradients_off_the_unit_stride_path(self, xshape, spec):
@@ -152,7 +150,7 @@ class TestConv2d:
         assert grad_check(lambda: conv2d(x, w, b, spec), [x, w, b]) < 1e-5
 
     def test_channel_mismatch_raises(self):
-        x = Tensor(np.zeros((1, 2, 4, 4)))
+        x = Tensor(np.zeros((2, 1, 4, 4)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
         with pytest.raises(ShapeError, match="channels"):
             conv2d(x, w, None, ConvSpec(3, 1, (3, 3)))
@@ -174,7 +172,7 @@ class TestConv2d:
 
 class TestLinear:
     def test_identity(self):
-        x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+        x = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
         w = Tensor(np.eye(3, dtype=np.float32))
         out = linear(x, w, None)
         np.testing.assert_array_equal(out.data, x.data)
@@ -185,14 +183,31 @@ class TestLinear:
         assert out.data[0] == 7.0
 
     def test_trailing_mismatch(self):
-        with pytest.raises(ShapeError):
-            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), None)
+        # the trailing axis is not mixed: only the leading extent must be Din
+        with pytest.raises(ShapeError, match="leading extent 2"):
+            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), None)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((5, 4)))
+        x = Tensor(rng.standard_normal((4, 5)))
         w = Tensor(rng.standard_normal((4, 2)), trainable=True)
         b = Tensor(rng.standard_normal(2), trainable=True)
+        cast_all([x, w, b], np.float64)
+        assert grad_check(lambda: linear(x, w, b), [x, w, b]) < 1e-4
+
+    @pytest.mark.parametrize("xshape", [(6, 1, 1), (6, 2, 3, 4)],
+                             ids=["pooled-map", "batched-maps"])
+    def test_mixes_the_leading_axis_of_a_map(self, xshape):
+        # C x 1 x 1 is CGA's pooled channel vector; C x N x H x W a batch
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal(xshape))
+        w = Tensor(rng.standard_normal((6, 3)), trainable=True)
+        b = Tensor(rng.standard_normal(3), trainable=True)
+        want = np.einsum("c...,cd->d...", x.data, w.data) \
+            + b.data.reshape((3,) + (1,) * (len(xshape) - 1))
+        got = linear(x, w, b).data
+        assert got.shape == (3,) + xshape[1:]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         cast_all([x, w, b], np.float64)
         assert grad_check(lambda: linear(x, w, b), [x, w, b]) < 1e-4
 
@@ -366,7 +381,7 @@ class TestGradCheckHarness:
 
     def test_frozen_tensor_gets_no_grad_buffer(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((2, 3)))
+        x = Tensor(rng.standard_normal((3, 2)))
         w_frozen = Tensor(rng.standard_normal((3, 2)), trainable=False)
         out = linear(x, w_frozen, None)
         out.backward()
@@ -376,7 +391,7 @@ class TestGradCheckHarness:
     def test_multi_seed_grad_check(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            x = Tensor(rng.standard_normal((3, 4)))
+            x = Tensor(rng.standard_normal((4, 3)))
             w = Tensor(rng.standard_normal((4, 3)), trainable=True)
             cast_all([x, w], np.float64)
             assert grad_check(lambda: sigmoid(linear(x, w, None)), [x, w]) < 1e-4
@@ -392,7 +407,7 @@ class TestGradCheckHarness:
 class TestDeterminism:
     def test_forward_repeatable(self):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         spec = ConvSpec(3, 4, (3, 3), padding=1)
         a = conv2d(Tensor(x), Tensor(w), None, spec).data
@@ -412,14 +427,12 @@ _OP_CASES = {
     "relu": ([(2, 3, 3)], relu),
     "sigmoid": ([(2, 3, 3)], sigmoid),
     "gelu": ([(2, 3, 3)], gelu),
-    "reshape": ([(2, 3, 4)], lambda x: reshape(x, (6, 4))),
-    "transpose": ([(2, 3, 4)], lambda x: transpose(x, (2, 0, 1))),
     "concat": ([(2, 3, 3), (1, 3, 3)], lambda a, b: concat([a, b], axis=0)),
     "narrow": ([(4, 3, 3)], lambda x: narrow(x, 0, 1, 2)),
     "pad_reflect_br": ([(2, 3, 4)], lambda x: pad_reflect_br(x, 1, 1)),
     "crop2d": ([(2, 4, 5)], lambda x: crop2d(x, 3, 3)),
-    "linear": ([(2, 3, 4), (4, 5), (5,)], linear),
-    "conv2d-dense": ([(1, 4, 5, 5), (6, 4, 3, 3), (6,)],
+    "linear": ([(4, 2, 3), (4, 5), (5,)], linear),
+    "conv2d-dense": ([(4, 1, 5, 5), (6, 4, 3, 3), (6,)],
                      lambda x, w, b: conv2d(x, w, b, ConvSpec(4, 6, (3, 3), padding=1))),
     "conv2d-depthwise": ([(4, 5, 5), (4, 1, 3, 3), (4,)],
                          lambda x, w, b: conv2d(x, w, b, ConvSpec(
