@@ -18,6 +18,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     _accumulate,
+    _interp_taps,
     _make,
     bilinear_resize,
     concat,
@@ -42,13 +43,8 @@ def channel_resample(x, out_channels):
     cin = x.data.shape[0]
     if out_channels == cin:
         return x
-    if out_channels > 1:
-        pos = np.arange(out_channels) * ((cin - 1) / (out_channels - 1))
-    else:
-        pos = np.zeros(1)
-    j0 = np.floor(pos).astype(np.intp)
-    j1 = np.minimum(j0 + 1, cin - 1)
-    frac = (pos - j0).astype(x.dtype)
+    j0, j1, frac = _interp_taps(cin, out_channels)
+    frac = frac.astype(x.dtype)
     w0 = (1 - frac)[:, None, None]
     w1 = frac[:, None, None]
     out_data = x.data[j0] * w0 + x.data[j1] * w1
@@ -72,6 +68,22 @@ def _haar_mix(a, b, c, d):
     return ll, lh, hl, hh
 
 
+def _dwt(d):
+    """C x H x W array -> its 4C x H/2 x W/2 LL, LH, HL, HH sub-bands."""
+    return np.concatenate(_haar_mix(d[:, 0::2, 0::2], d[:, 0::2, 1::2],
+                                    d[:, 1::2, 0::2], d[:, 1::2, 1::2]), axis=0)
+
+
+def _idwt(d):
+    """4C x H x W sub-band array -> the C x 2H x 2W array _dwt maps to it."""
+    c4, h, w = d.shape
+    out = np.empty((c4 // 4, 2 * h, 2 * w), dtype=d.dtype)
+    (out[:, 0::2, 0::2], out[:, 0::2, 1::2],
+     out[:, 1::2, 0::2], out[:, 1::2, 1::2]) = _haar_mix(*np.split(d, 4, axis=0))
+    return out
+
+
+# the transform is orthonormal, so each op's backward is the other kernel
 def haar_dwt2(x):
     """One-level orthonormal Haar analysis: C x H x W -> 4C x H/2 x W/2.
 
@@ -81,46 +93,14 @@ def haar_dwt2(x):
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"haar_dwt2 needs even spatial extents, got {h}x{w}")
-    d = x.data
-    a, b_, c_, d_ = d[:, 0::2, 0::2], d[:, 0::2, 1::2], d[:, 1::2, 0::2], d[:, 1::2, 1::2]
-    ll, lh, hl, hh = _haar_mix(a, b_, c_, d_)
-    out_data = np.concatenate([ll, lh, hl, hh], axis=0)
-
-    def backward(g):
-        gll, glh, ghl, ghh = np.split(g, 4, axis=0)
-        ga, gb, gc, gd = _haar_mix(gll, glh, ghl, ghh)
-        gx = np.empty_like(x.data)
-        gx[:, 0::2, 0::2] = ga
-        gx[:, 0::2, 1::2] = gb
-        gx[:, 1::2, 0::2] = gc
-        gx[:, 1::2, 1::2] = gd
-        _accumulate(x, gx)
-
-    return _make(out_data, (x,), backward)
+    return _make(_dwt(x.data), (x,), lambda g: _accumulate(x, _idwt(g)))
 
 
 def haar_idwt2(x):
     """Exact inverse of haar_dwt2: 4C x H x W -> C x 2H x 2W."""
-    c4, h, w = x.data.shape
-    if c4 % 4:
+    if x.data.shape[0] % 4:
         raise ShapeError("haar_idwt2 needs a channel count divisible by 4")
-    ll, lh, hl, hh = np.split(x.data, 4, axis=0)
-    a, b_, c_, d_ = _haar_mix(ll, lh, hl, hh)
-    out_data = np.empty((c4 // 4, 2 * h, 2 * w), dtype=x.dtype)
-    out_data[:, 0::2, 0::2] = a
-    out_data[:, 0::2, 1::2] = b_
-    out_data[:, 1::2, 0::2] = c_
-    out_data[:, 1::2, 1::2] = d_
-
-    def backward(g):
-        ga = g[:, 0::2, 0::2]
-        gb = g[:, 0::2, 1::2]
-        gc = g[:, 1::2, 0::2]
-        gd = g[:, 1::2, 1::2]
-        gll, glh, ghl, ghh = _haar_mix(ga, gb, gc, gd)
-        _accumulate(x, np.concatenate([gll, glh, ghl, ghh], axis=0))
-
-    return _make(out_data, (x,), backward)
+    return _make(_idwt(x.data), (x,), lambda g: _accumulate(x, _dwt(g)))
 
 
 class Adapter(Module):

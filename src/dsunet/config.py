@@ -64,6 +64,8 @@ class ModelConfig:
             raise ConfigError("adapter_ratio must be in (0, 1]")
         if self.reduced_channels < 1:
             raise ConfigError("reduced_channels must be >= 1")
+        if len(self.loss_weights) != 3:
+            raise ConfigError("loss_weights must hold one weight per decoder level (3)")
         if any(w < 0 for w in self.loss_weights):
             raise ConfigError("loss_weights must be non-negative")
 
@@ -89,37 +91,36 @@ class RunConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be non-negative")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.n_val < 0:
+            raise ConfigError("n_val must be >= 0")
         if self.mode not in ("sod", "cod"):
             raise ConfigError(f"unknown data mode {self.mode!r}")
 
 
-# keys accepted in config files, mapped onto (dataclass, attribute)
-_MODEL_KEYS = {
-    "profile": str,
-    "variant": str,
-    "adapter_ratio": float,
-    "reduced_channels": int,
-    "loss_w1": float,
-    "loss_w2": float,
-    "loss_w3": float,
-    "beta2_f": float,
-    "pixel_weighted_loss": bool,
-    "model_seed": int,
+# the model fields a config file names differently (RunConfig has its own
+# seed); every other field is written under its own name
+_RENAMED_MODEL_KEYS = {
+    "seed": ("model_seed",),
+    "loss_weights": ("loss_w1", "loss_w2", "loss_w3"),
 }
-_RUN_KEYS = {
-    "lr": float,
-    "weight_decay": float,
-    "batch": int,
-    "epochs": int,
-    "seed": int,
-    "mode": str,
-    "n_train": int,
-    "n_val": int,
-    "data_dir": str,
-    "out_dir": str,
-}
+
+
+def _settings(run):
+    """Yield (file key, value) for each field of ModelConfig, then of
+    RunConfig, in declaration order: the config file's lines."""
+    for f in fields(ModelConfig):
+        keys = _RENAMED_MODEL_KEYS.get(f.name, (f.name,))
+        value = getattr(run.model, f.name)
+        yield from zip(keys, value if len(keys) > 1 else (value,))
+    for f in fields(RunConfig):
+        if f.name != "model":
+            yield f.name, getattr(run, f.name)
 
 
 def _coerce(raw, typ, key):
@@ -137,10 +138,9 @@ def _coerce(raw, typ, key):
 
 
 def parse_config_text(text):
-    """Parse `key = value` lines (# comments) into a RunConfig."""
-    model_kwargs = {}
-    run_kwargs = {}
-    weights = list(ModelConfig().loss_weights)
+    """Parse `key = value` lines (# comments) into a RunConfig; each value
+    takes its default's type, and a key left out keeps its default."""
+    settings = dict(_settings(RunConfig()))
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -148,17 +148,15 @@ def parse_config_text(text):
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in ("loss_w1", "loss_w2", "loss_w3"):
-            weights[int(key[-1]) - 1] = _coerce(raw, float, key)
-        elif key in _MODEL_KEYS:
-            attr = "seed" if key == "model_seed" else key
-            model_kwargs[attr] = _coerce(raw, _MODEL_KEYS[key], key)
-        elif key in _RUN_KEYS:
-            run_kwargs[key] = _coerce(raw, _RUN_KEYS[key], key)
-        else:
+        if key not in settings:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    model_kwargs["loss_weights"] = tuple(weights)
-    return RunConfig(model=ModelConfig(**model_kwargs), **run_kwargs)
+        settings[key] = _coerce(raw, type(settings[key]), key)
+    model = {}
+    for f in fields(ModelConfig):
+        keys = _RENAMED_MODEL_KEYS.get(f.name, (f.name,))
+        values = tuple(settings.pop(k) for k in keys)
+        model[f.name] = values if len(values) > 1 else values[0]
+    return RunConfig(model=ModelConfig(**model), **settings)
 
 
 def parse_config_file(path):
@@ -167,24 +165,17 @@ def parse_config_file(path):
 
 
 def render_config(run):
-    """Serialize a RunConfig back to the config-file format."""
-    m = run.model
-    lines = [
-        f"profile = {m.profile}",
-        f"variant = {m.variant}",
-        f"adapter_ratio = {m.adapter_ratio!r}",
-        f"reduced_channels = {m.reduced_channels}",
-        f"loss_w1 = {m.loss_weights[0]!r}",
-        f"loss_w2 = {m.loss_weights[1]!r}",
-        f"loss_w3 = {m.loss_weights[2]!r}",
-        f"beta2_f = {m.beta2_f!r}",
-        f"pixel_weighted_loss = {str(m.pixel_weighted_loss).lower()}",
-        f"model_seed = {m.seed}",
-    ]
-    for f_ in fields(RunConfig):
-        if f_.name == "model":
-            continue
-        lines.append(f"{f_.name} = {getattr(run, f_.name)!r}"
-                     if isinstance(getattr(run, f_.name), float)
-                     else f"{f_.name} = {getattr(run, f_.name)}")
+    """Serialize a RunConfig back to the config-file format, writing each
+    value as its field's type (a numpy float64 lr as a Python float)."""
+    defaults = dict(_settings(RunConfig()))
+    lines = []
+    for key, value in _settings(run):
+        typ = type(defaults[key])
+        if typ is bool:
+            text = str(value).lower()
+        elif typ is float:
+            text = repr(float(value))
+        else:
+            text = str(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -38,8 +38,8 @@ def write_pgm(path, values):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise PgmError("write_pgm expects an H x W array")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise PgmError("write_pgm expects values in [0, 1]")
+    if not (values.min() >= 0.0 and values.max() <= 1.0):   # NaN fails both
+        raise PgmError("write_pgm expects values in [0, 1], not NaN")
     data = np.rint(values * 255.0).astype(np.uint8)
     h, w = values.shape
     with open(path, "wb") as f:
@@ -81,6 +81,8 @@ def read_pgm(path):
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
         raise PgmHeaderError(f"malformed PGM header: non-numeric fields {tokens}")
+    if w < 1 or h < 1:
+        raise PgmHeaderError(f"malformed PGM header: {w} x {h} image")
     if maxval != 255:
         raise PgmMaxvalError(f"unsupported PGM maxval {maxval}, expected 255")
     pos += 1  # the single whitespace byte after maxval

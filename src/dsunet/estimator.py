@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,28 +50,18 @@ class DSUNetEstimator:
     def __init__(self, profile="toy", variant="full", adapter_ratio=0.25,
                  reduced_channels=64, lr=1e-3, weight_decay=5e-4, batch=4,
                  epochs=5, seed=42, mode="sod", n_train=16, n_val=4):
-        self.profile = profile
-        self.variant = variant
-        self.adapter_ratio = adapter_ratio
-        self.reduced_channels = reduced_channels
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.batch = batch
-        self.epochs = epochs
-        self.seed = seed
-        self.mode = mode
-        self.n_train = n_train
-        self.n_val = n_val
+        params = dict(locals())
+        del params["self"]
+        self.set_params(**params)
 
-    # sklearn-compatible parameter plumbing
+    # sklearn-compatible parameter plumbing: __init__'s signature is the
+    # parameter list, and each parameter is an attribute of the same name
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in (
-            "profile", "variant", "adapter_ratio", "reduced_channels", "lr",
-            "weight_decay", "batch", "epochs", "seed", "mode", "n_train",
-            "n_val")}
+        return {name: getattr(self, name)
+                for name in inspect.signature(type(self)).parameters}
 
     def set_params(self, **params):
-        valid = self.get_params()
+        valid = inspect.signature(type(self)).parameters
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(f"invalid parameter {key!r} for DSUNetEstimator")
@@ -77,20 +69,27 @@ class DSUNetEstimator:
         return self
 
     def _run_config(self, out_dir):
-        model = ModelConfig(profile=self.profile, variant=self.variant,
-                            adapter_ratio=self.adapter_ratio,
-                            reduced_channels=self.reduced_channels,
-                            seed=self.seed)
-        return RunConfig(model=model, lr=self.lr,
-                         weight_decay=self.weight_decay, batch=self.batch,
-                         epochs=self.epochs, seed=self.seed, mode=self.mode,
-                         n_train=self.n_train, n_val=self.n_val,
-                         out_dir=out_dir)
+        """Each ModelConfig and RunConfig field named like a parameter takes
+        its value (`seed` sets both); the others keep their defaults."""
+        params = self.get_params()
+
+        def fields_of(cls):
+            return {f.name: params[f.name] for f in fields(cls) if f.name in params}
+
+        return RunConfig(model=ModelConfig(**fields_of(ModelConfig)),
+                         out_dir=out_dir, **fields_of(RunConfig))
 
     def fit(self, X=None, y=None):
         with tempfile.TemporaryDirectory() as tmp:
             run = self._run_config(tmp)
             if X is not None:
+                X = list(X)
+                n_masks = 0 if y is None else len(y)
+                # Samples carry their masks; image pairs take theirs from y
+                if n_masks != len(X) and (y is not None or not all(
+                        isinstance(item, Sample) for item in X)):
+                    raise ValueError(f"fit got {len(X)} training inputs but "
+                                     f"{n_masks} masks in y")
                 samples = _as_samples(X, y)
                 for i, s in enumerate(samples):
                     _check_sample(s, run.model.resolved_profile, i)

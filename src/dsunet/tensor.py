@@ -461,15 +461,21 @@ def conv2d(x, weight, bias, spec):
     return _make(out_data, parents, backward)
 
 
-def _interp_matrix(n_in, n_out, dtype):
-    """Row-stochastic (n_out, n_in) corner-aligned bilinear sampling matrix."""
+def _interp_taps(n_in, n_out):
+    """Corner-aligned linear taps: output j samples input coordinate
+    j * (n_in-1) / (n_out-1) as (1 - frac) * in[j0] + frac * in[j1]."""
     if n_out == 1:
         pos = np.zeros(1)
     else:
         pos = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
     j0 = np.floor(pos).astype(np.intp)
     j1 = np.minimum(j0 + 1, n_in - 1)
-    frac = pos - j0
+    return j0, j1, pos - j0
+
+
+def _interp_matrix(n_in, n_out, dtype):
+    """Row-stochastic (n_out, n_in) corner-aligned bilinear sampling matrix."""
+    j0, j1, frac = _interp_taps(n_in, n_out)
     m = np.zeros((n_out, n_in), dtype=dtype)
     rows = np.arange(n_out)
     m[rows, j0] = 1.0 - frac

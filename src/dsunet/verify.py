@@ -214,22 +214,7 @@ def check_metric_oracles(seeds=range(20)):
         worst_mae = max(worst_mae, abs(acc / 256.0 - mae(pred, g)))
 
         thr = min(2.0 * pred.mean(), 1.0)
-        tp = fp = fn = 0
-        for i in range(16):
-            for j in range(16):
-                p = 1 if pred[i, j] >= thr else 0
-                if p and g[i, j]:
-                    tp += 1
-                elif p:
-                    fp += 1
-                elif g[i, j]:
-                    fn += 1
-        if tp == 0:
-            brute_f = 0.0
-        else:
-            precision = tp / (tp + fp)
-            recall = tp / (tp + fn)
-            brute_f = 1.3 * precision * recall / (0.3 * precision + recall)
+        brute_f = _brute_f((pred >= thr).tolist(), g.tolist())
         worst_f = max(worst_f, abs(brute_f - f_measure(pred, g)))
     results.append(("metric:mae_oracle", bool(worst_mae < 1e-12),
                     f"worst diff {worst_mae:.2e}"))

@@ -5,6 +5,7 @@ import pytest
 
 from dsunet.config import PROFILES
 from dsunet.data import (
+    PgmError,
     PgmHeaderError,
     PgmMaxvalError,
     PgmTruncatedError,
@@ -74,6 +75,19 @@ class TestPgmIO:
         open(p, "wb").write(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(PgmTruncatedError):
             read_pgm(p)
+
+    @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"-2 -3"])
+    def test_empty_or_negative_extents(self, tmp_path, extents):
+        p = str(tmp_path / "e.pgm")
+        open(p, "wb").write(b"P5\n" + extents + b"\n255\n" + bytes(6))
+        with pytest.raises(PgmHeaderError, match="image"):
+            read_pgm(p)
+
+    def test_write_rejects_nan(self, tmp_path):
+        p = str(tmp_path / "n.pgm")
+        with pytest.raises(PgmError, match=r"\[0, 1\]"):
+            write_pgm(p, np.array([[0.5, np.nan]]))
+        assert not os.path.exists(p)
 
     def test_mask_binarization(self, tmp_path):
         p = str(tmp_path / "m.pgm")

@@ -339,6 +339,41 @@ class TestConfigFormat:
         back = parse_config_text(render_config(run))
         assert back == run
 
+    def test_render_is_the_pinned_format(self):
+        # checkpoints embed this text, so its bytes are part of the format
+        assert render_config(RunConfig()) == (
+            "profile = toy\nvariant = full\nadapter_ratio = 0.25\n"
+            "reduced_channels = 64\nloss_w1 = 0.25\nloss_w2 = 0.5\n"
+            "loss_w3 = 1.0\nbeta2_f = 0.3\npixel_weighted_loss = true\n"
+            "model_seed = 0\nlr = 0.001\nweight_decay = 0.0005\nbatch = 4\n"
+            "epochs = 20\nseed = 42\nmode = sod\nn_train = 64\nn_val = 16\n"
+            "data_dir = \nout_dir = runs/out\n")
+
+    def test_numpy_scalars_round_trip(self):
+        run = RunConfig(
+            model=ModelConfig(adapter_ratio=np.float32(0.5),
+                              reduced_channels=np.int64(32),
+                              loss_weights=(np.float64(0.1), np.float32(0.2), 1.0),
+                              pixel_weighted_loss=np.bool_(False),
+                              seed=np.int64(3)),
+            lr=np.float64(0.003), weight_decay=np.float32(1e-4),
+            epochs=np.int64(2), seed=np.int64(5))
+        text = render_config(run)
+        assert "lr = 0.003\n" in text and "np." not in text
+        assert "pixel_weighted_loss = false\n" in text
+        assert parse_config_text(text) == run
+
+    def test_run_edge_values_rejected(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            RunConfig(epochs=0)
+        with pytest.raises(ConfigError, match="weight_decay"):
+            RunConfig(weight_decay=-1e-4)
+        with pytest.raises(ConfigError, match="n_val"):
+            RunConfig(n_val=-1)
+        with pytest.raises(ConfigError, match="loss_weights"):
+            ModelConfig(loss_weights=(0.5, 1.0))
+        RunConfig(weight_decay=0.0, n_val=0)   # the boundaries are valid
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             ModelConfig(profile="huge")

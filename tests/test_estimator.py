@@ -80,6 +80,17 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="no training samples"):
             DSUNetEstimator(**fast_params()).fit([], [])
 
+    def test_fit_on_pairs_without_masks_raises(self):
+        X = [(s.image_main, s.image_aux) for s in make_samples(2)]
+        with pytest.raises(ValueError, match="2 training inputs but 0 masks"):
+            DSUNetEstimator(**fast_params()).fit(X)
+
+    def test_fit_with_too_few_masks_raises(self):
+        samples = make_samples(3)
+        X = [(s.image_main, s.image_aux) for s in samples]
+        with pytest.raises(ValueError, match="3 training inputs but 2 masks"):
+            DSUNetEstimator(**fast_params()).fit(X, [s.gt for s in samples[:2]])
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             DSUNetEstimator().predict(make_samples(1))

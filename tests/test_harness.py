@@ -129,6 +129,13 @@ class TestCheckpoint:
         text = bytes(raw["__config__"].astype(np.uint8)).decode("utf-8")
         assert text == render_config(run)
 
+    def test_numpy_scalar_settings_load_back(self, tmp_path):
+        run = tiny_run(str(tmp_path / "run"), lr=np.float64(0.003))
+        result = train(run)
+        _, back_run, _ = load_checkpoint(result.checkpoint_path)
+        assert back_run == run
+        assert type(back_run.lr) is float
+
     def test_shape_mismatch_detected(self, tmp_path):
         run = tiny_run(str(tmp_path))
         model = DSUNet(run.model)
