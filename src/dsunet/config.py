@@ -97,8 +97,9 @@ class RunConfig:
             raise ConfigError("batch must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.n_val < 0:
-            raise ConfigError("n_val must be >= 0")
+        for name in ("n_train", "n_val"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.mode not in ("sod", "cod"):
             raise ConfigError(f"unknown data mode {self.mode!r}")
 
@@ -140,7 +141,7 @@ def _coerce(raw, typ, key):
 def parse_config_text(text):
     """Parse `key = value` lines (# comments) into a RunConfig; each value
     takes its default's type, and a key left out keeps its default."""
-    settings = dict(_settings(RunConfig()))
+    settings, seen = dict(_settings(RunConfig())), {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -150,6 +151,9 @@ def parse_config_text(text):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in settings:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         settings[key] = _coerce(raw, type(settings[key]), key)
     model = {}
     for f in fields(ModelConfig):

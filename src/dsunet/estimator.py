@@ -114,6 +114,10 @@ class DSUNetEstimator:
         """Mean (1 - MAE) over the given pairs; higher is better."""
         from .metrics import mae
 
+        X, y = list(X), list(y)
+        if not X or len(y) != len(X):
+            raise ValueError(f"score needs one mask per input and at least one "
+                             f"input; got {len(X)} inputs and {len(y)} masks")
         preds = self.predict(X)
         return float(np.mean([1.0 - mae(p, g) for p, g in zip(preds, y)]))
 

@@ -323,8 +323,12 @@ def crop2d(x, out_h, out_w):
 
 # -- linear / convolution -------------------------------------------------
 
+# Upper bound on one block of im2col columns in conv2d.  A block holds at
+# least one channel group, so a dense convolution is always a single block.
+_BLOCK_BYTES = 4 << 20
 
-def linear(x, weight, bias=None):
+
+def linear(x, weight, bias):
     """Affine map over the leading (channel) axis: (Din, ...) -> (Dout, ...)."""
     din, dout = weight.data.shape
     if x.data.shape[0] != din:
@@ -333,19 +337,16 @@ def linear(x, weight, bias=None):
         )
     x2 = x.data.reshape(din, -1)
     out = weight.data.T @ x2
-    if bias is not None:
-        out += bias.data[:, None]
+    out += bias.data[:, None]
     out_data = out.reshape((dout,) + x.data.shape[1:])
 
     def backward(g):
         g2 = g.reshape(dout, -1)
         _accumulate(x, (weight.data @ g2).reshape(x.data.shape))
         _accumulate(weight, x2 @ g2.T)
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=1))
+        _accumulate(bias, g2.sum(axis=1))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, backward)
+    return _make(out_data, (x, weight, bias), backward)
 
 
 @dataclass(frozen=True)
@@ -394,11 +395,12 @@ def _taps(kh, kw, stride, dil, oh, ow):
 def conv2d(x, weight, bias, spec):
     """2-D cross-correlation per ConvSpec; input C x H x W or C x N x H x W.
 
-    A depthwise convolution (groups == in == out channels) adds up, per
-    kernel tap, a strided view of the padded input times that tap's
-    per-channel weight.  Every other convolution is one grouped GEMM (dense
-    is groups = 1) over a single im2col copy laid out as
-    (groups, Cin/groups * kh * kw, N * OH * OW), which the backward pass reuses.
+    One grouped GEMM (dense is groups = 1, depthwise groups = C) over im2col
+    columns laid out as (groups, Cin/groups * kh * kw, N * OH * OW).  The
+    columns are gathered one block of consecutive groups at a time, each
+    block at most ``_BLOCK_BYTES`` (but at least one group), and each block
+    runs one matmul into its slice of the output; the backward pass rebuilds
+    a block's columns from the padded input instead of keeping them.
     """
     cin, (h, w) = x.data.shape[0], x.data.shape[-2:]
     xd = x.data.reshape(cin, -1, h, w)
@@ -414,51 +416,46 @@ def conv2d(x, weight, bias, spec):
     taps = _taps(kh, kw, spec.stride, spec.dilation, oh, ow)
     pad = spec.padding
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    depthwise = groups == cin == cout
+    cpg, npix = cin // groups, n * oh * ow
+    per_block = max(1, _BLOCK_BYTES // (cpg * kh * kw * npix * xd.itemsize))
+    blocks = [(slice(g, g + per_block), slice(g * cpg, (g + per_block) * cpg))
+              for g in range(0, groups, per_block)]
+    wm = weight.data.reshape(groups, cout // groups, -1)
 
-    if depthwise:
-        wk = weight.data[:, 0, :, :, None, None, None]  # (C, kh, kw, 1, 1, 1)
-        out = np.zeros((cin, n, oh, ow), dtype=xd.dtype)
+    def columns(chans):
+        """im2col of input channels ``chans``: (their groups, cpg * kh * kw, N * OH * OW)."""
+        xb = xp[chans]
+        cols = np.empty((len(xb), kh, kw, n, oh, ow), dtype=xd.dtype)
         for i, j, idx in taps:
-            out += xp[idx] * wk[:, i, j]
-    else:
-        cols = np.empty((cin, kh, kw, n, oh, ow), dtype=xd.dtype)
-        for i, j, idx in taps:
-            cols[:, i, j] = xp[idx]
-        cols = cols.reshape(groups, -1, n * oh * ow)
-        wm = weight.data.reshape(groups, cout // groups, -1)
-        out = np.matmul(wm, cols).reshape(cout, n, oh, ow)
-    if bias is not None:
-        out += bias.data[:, None, None, None]
+            cols[:, i, j] = xb[idx]
+        return cols.reshape(-1, cpg * kh * kw, npix)
+
+    out = np.empty((groups, cout // groups, npix), dtype=xd.dtype)
+    for grp, chans in blocks:
+        np.matmul(wm[grp], columns(chans), out=out[grp])
+    out += bias.data.reshape(groups, -1, 1)
     out_data = out.reshape((cout,) + x.data.shape[1:-2] + (oh, ow))
 
     def backward(g):
         gd = g.reshape(cout, n, oh, ow)
-        if bias is not None:
-            _accumulate(bias, gd.sum(axis=(1, 2, 3)))
+        _accumulate(bias, gd.sum(axis=(1, 2, 3)))
+        gm = gd.reshape(groups, cout // groups, npix)
+        gw = np.empty_like(wm) if weight.requires_grad else None
         gxp = np.zeros_like(xp) if x.requires_grad else None
-        if depthwise:
-            if weight.requires_grad:
-                gw = np.empty((cin, kh, kw), dtype=gd.dtype)
-                for i, j, idx in taps:
-                    gw[:, i, j] = np.einsum("cnhw,cnhw->c", gd, xp[idx])
-                _accumulate(weight, gw.reshape(wshape))
+        for grp, chans in blocks:
+            if gw is not None:
+                np.matmul(gm[grp], columns(chans).transpose(0, 2, 1), out=gw[grp])
             if gxp is not None:
+                gcols = np.matmul(wm[grp].transpose(0, 2, 1), gm[grp])
+                gcols = gcols.reshape(-1, kh, kw, n, oh, ow)
                 for i, j, idx in taps:
-                    gxp[idx] += gd * wk[:, i, j]
-        else:
-            gm = gd.reshape(groups, cout // groups, n * oh * ow)
-            if weight.requires_grad:
-                _accumulate(weight, np.matmul(gm, cols.transpose(0, 2, 1)).reshape(wshape))
-            if gxp is not None:
-                gcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(cin, kh, kw, n, oh, ow)
-                for i, j, idx in taps:
-                    gxp[idx] += gcols[:, i, j]
+                    gxp[chans][idx] += gcols[:, i, j]
+        if gw is not None:
+            _accumulate(weight, gw.reshape(wshape))
         if gxp is not None:
             _accumulate(x, gxp[..., pad:pad + h, pad:pad + w].reshape(x.data.shape))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, backward)
+    return _make(out_data, (x, weight, bias), backward)
 
 
 def _interp_taps(n_in, n_out):

@@ -90,6 +90,12 @@ def _brute_e(binary, g, eps=1e-8):
 def check_block_gradients(seeds=range(5), tol=1e-4):
     """Finite-difference checks for each trainable block; returns worst error."""
     worst = {}
+
+    def check(name, fn, tensors, max_coords=None):
+        cast_all(tensors, np.float64)
+        err = grad_check(fn, tensors, rng=crng, max_coords=max_coords)
+        worst[name] = max(worst.get(name, 0.0), err)
+
     for seed in seeds:
         rng = np.random.default_rng(seed)
         crng = np.random.default_rng(seed + 500)
@@ -97,62 +103,38 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
 
         lin = Linear(4, 2, init)
         x = Tensor(rng.standard_normal((4, 3)))
-        tensors = list(lin.parameters()) + [x]
-        cast_all(tensors, np.float64)
-        worst["linear"] = max(worst.get("linear", 0.0),
-                              grad_check(lambda: lin(x), tensors, rng=crng))
+        check("linear", lambda: lin(x), lin.parameters() + [x])
 
         c1 = Conv2d(2, 3, 3, init, padding=1)
         c2 = Conv2d(3, 2, 3, init, padding=1)
         x = Tensor(rng.standard_normal((2, 5, 5)))
-        tensors = c1.parameters() + c2.parameters() + [x]
-        cast_all(tensors, np.float64)
-        worst["conv_gelu_conv"] = max(
-            worst.get("conv_gelu_conv", 0.0),
-            grad_check(lambda: c2(gelu(c1(x))), tensors, rng=crng))
+        check("conv_gelu_conv", lambda: c2(gelu(c1(x))),
+              c1.parameters() + c2.parameters() + [x])
 
         adapter = Adapter(8, 0.25, init)
         adapter.up.weight.data = rng.standard_normal(
             adapter.up.weight.data.shape).astype(np.float32) * 0.1
         x = Tensor(rng.standard_normal((8, 4, 4)))
-        tensors = adapter.parameters() + [x]
-        cast_all(tensors, np.float64)
-        worst["adapter"] = max(worst.get("adapter", 0.0),
-                               grad_check(lambda: adapter(x), tensors, rng=crng))
+        check("adapter", lambda: adapter(x), adapter.parameters() + [x])
 
         rfb = RFB(8, 8, init)
         x = Tensor(rng.standard_normal((8, 6, 6)))
-        tensors = rfb.parameters() + [x]
-        cast_all(tensors, np.float64)
-        worst["rfb"] = max(worst.get("rfb", 0.0),
-                           grad_check(lambda: rfb(x), tensors, rng=crng,
-                                      max_coords=24))
+        check("rfb", lambda: rfb(x), rfb.parameters() + [x], max_coords=24)
 
         cga = CGA(8, init)
         x = Tensor(rng.standard_normal((8, 4, 4)))
         y = Tensor(rng.standard_normal((8, 4, 4)))
-        tensors = cga.parameters() + [x, y]
-        cast_all(tensors, np.float64)
-        worst["cga"] = max(worst.get("cga", 0.0),
-                           grad_check(lambda: cga(x, y), tensors, rng=crng,
-                                      max_coords=24))
+        check("cga", lambda: cga(x, y), cga.parameters() + [x, y], max_coords=24)
 
         sff = SFF(4, init)
         low = Tensor(rng.standard_normal((4, 6, 6)))
         high = Tensor(rng.standard_normal((4, 3, 3)))
-        tensors = sff.parameters() + [low, high]
-        cast_all(tensors, np.float64)
-        worst["sff"] = max(worst.get("sff", 0.0),
-                           grad_check(lambda: sff(low, high), tensors, rng=crng,
-                                      max_coords=24))
+        check("sff", lambda: sff(low, high), sff.parameters() + [low, high],
+              max_coords=24)
 
         wtd = WaveletDownsample(3, init)
         x = Tensor(rng.standard_normal((3, 7, 7)))
-        tensors = wtd.parameters() + [x]
-        cast_all(tensors, np.float64)
-        worst["wtd"] = max(worst.get("wtd", 0.0),
-                           grad_check(lambda: wtd(x, 3, 3), tensors, rng=crng,
-                                      max_coords=24))
+        check("wtd", lambda: wtd(x, 3, 3), wtd.parameters() + [x], max_coords=24)
     return [(f"grad:{name}", bool(err < tol), f"worst rel err {err:.2e}")
             for name, err in sorted(worst.items())]
 

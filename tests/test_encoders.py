@@ -326,6 +326,10 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some words")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: key 'lr' already set on line 1"):
+            parse_config_text("lr = 0.1\nepochs = 2\nlr = 0.2\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("lr = fast")
@@ -373,6 +377,11 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="loss_weights"):
             ModelConfig(loss_weights=(0.5, 1.0))
         RunConfig(weight_decay=0.0, n_val=0)   # the boundaries are valid
+
+    def test_negative_n_train_rejected(self):
+        with pytest.raises(ConfigError, match="n_train must be >= 0"):
+            parse_config_text("n_train = -3")
+        assert RunConfig(n_train=0).n_train == 0  # left to train's own error
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):

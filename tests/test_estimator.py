@@ -115,6 +115,14 @@ class TestFitPredict:
         score = est.score(samples, [s.gt for s in samples])
         assert 0.0 <= score <= 1.0
 
+    def test_score_rejects_unpaired_or_empty_inputs(self):
+        est = DSUNetEstimator(**fast_params()).fit()
+        samples = make_samples(3, seed_base=60)
+        with pytest.raises(ValueError, match="got 3 inputs and 1 masks"):
+            est.score(samples, [samples[0].gt])
+        with pytest.raises(ValueError, match="got 0 inputs and 0 masks"):
+            est.score([], [])
+
     def test_same_seed_reproducible(self):
         a = DSUNetEstimator(**fast_params()).fit()
         b = DSUNetEstimator(**fast_params()).fit()

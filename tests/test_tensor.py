@@ -1,8 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dsunet import tensor
 from dsunet.blocks import DecoderOutputs
 from dsunet.config import ModelConfig
 from dsunet.losses import pixel_weight_map, total_loss, weighted_bce, weighted_iou
@@ -58,8 +62,13 @@ def brute_force_conv(x, w, bias, stride, pad, dil, groups=1):
                                        j * stride + kj * dil]
                                     * float(w[co, ci, ki, kj])
                                 )
-                    out[co, b, i, j] = acc + (float(bias[co]) if bias is not None else 0.0)
+                    out[co, b, i, j] = acc + float(bias[co])
     return out
+
+
+def zeros(n, dtype=np.float32):
+    """A bias that adds nothing."""
+    return Tensor(np.zeros(n, dtype=dtype))
 
 
 class TestConv2d:
@@ -67,7 +76,7 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         spec = ConvSpec(1, 1, (3, 3), stride=1, padding=1)
-        out = conv2d(x, w, None, spec).data[0, 0]
+        out = conv2d(x, w, zeros(1), spec).data[0, 0]
         assert out[1, 1] == 9.0
         assert out[0, 0] == 4.0
 
@@ -75,7 +84,7 @@ class TestConv2d:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 1, 5, 5)).astype(np.float32))
         w = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-        out = conv2d(x, w, None, ConvSpec(1, 1, (1, 1)))
+        out = conv2d(x, w, zeros(1), ConvSpec(1, 1, (1, 1)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_depthwise_channel_independence(self):
@@ -83,10 +92,10 @@ class TestConv2d:
         x = rng.standard_normal((3, 1, 5, 5)).astype(np.float32)
         w = Tensor(rng.standard_normal((3, 1, 3, 3)).astype(np.float32))
         spec = ConvSpec(3, 3, (3, 3), padding=1, groups=3)
-        base = conv2d(Tensor(x), w, None, spec).data
+        base = conv2d(Tensor(x), w, zeros(3), spec).data
         x2 = x.copy()
         x2[1, 0] += 1.0  # perturb channel 1 only
-        pert = conv2d(Tensor(x2), w, None, spec).data
+        pert = conv2d(Tensor(x2), w, zeros(3), spec).data
         np.testing.assert_array_equal(base[0, 0], pert[0, 0])
         np.testing.assert_array_equal(base[2, 0], pert[2, 0])
         assert np.any(base[1, 0] != pert[1, 0])
@@ -107,7 +116,7 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("dil", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 3])
-    def test_every_path_matches_the_loop_oracle(self, kind, stride, dil, pad):
+    def test_every_path_matches_the_loop_oracle(self, kind, stride, dil, pad, monkeypatch):
         cin, cout, groups = {"dense": (4, 6, 1), "groups2": (4, 6, 2),
                              "depthwise": (4, 4, 4)}[kind]
         rng = np.random.default_rng(100 * stride + 10 * dil + pad)
@@ -119,15 +128,18 @@ class TestConv2d:
         for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             xs, ws, bs = (a.astype(dtype) for a in (x, w, b))
             want = brute_force_conv(xs, ws, bs, stride, pad, dil, groups)
-            for batched in (True, False):
-                xin = xs if batched else xs[:, 0]
-                got = conv2d(Tensor(xin), Tensor(ws), Tensor(bs), spec).data
-                assert got.dtype == dtype
-                ref = want if batched else want[:, 0]
-                assert got.shape == ref.shape
-                # error relative to the largest output, so a cancelling
-                # output does not count as a large relative error
-                assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+            for budget in (tensor._BLOCK_BYTES, 1):
+                # a 1-byte budget puts each channel group in a block of its own
+                monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+                for batched in (True, False):
+                    xin = xs if batched else xs[:, 0]
+                    got = conv2d(Tensor(xin), Tensor(ws), Tensor(bs), spec).data
+                    assert got.dtype == dtype
+                    ref = want if batched else want[:, 0]
+                    assert got.shape == ref.shape
+                    # error relative to the largest output, so a cancelling
+                    # output does not count as a large relative error
+                    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
     @pytest.mark.parametrize("xshape,spec", [
         ((3, 7, 7), ConvSpec(3, 3, (3, 3), stride=2, padding=1, groups=3)),
@@ -137,7 +149,7 @@ class TestConv2d:
         ((4, 2, 5, 5), ConvSpec(4, 3, (3, 3), padding=1)),
     ], ids=["depthwise-stride2", "depthwise-dilation2", "depthwise-batched",
             "grouped-batched", "dense-batched"])
-    def test_gradients_off_the_unit_stride_path(self, xshape, spec):
+    def test_gradients_off_the_unit_stride_path(self, xshape, spec, monkeypatch):
         rng = np.random.default_rng(12)
         kh, kw = spec.kernel
         x = Tensor(rng.standard_normal(xshape))
@@ -147,13 +159,63 @@ class TestConv2d:
         cast_all([x, w, b], np.float64)
         # a linear op: the finite-difference round-off alone reaches 2.5e-6
         # on the batched dense case
-        assert grad_check(lambda: conv2d(x, w, b, spec), [x, w, b]) < 1e-5
+        for budget in (tensor._BLOCK_BYTES, 1):
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+            assert grad_check(lambda: conv2d(x, w, b, spec), [x, w, b]) < 1e-5
+
+    @pytest.mark.parametrize("spec", [
+        ConvSpec(6, 4, (3, 3), padding=1),
+        ConvSpec(6, 4, (3, 2), stride=2, dilation=2, padding=2, groups=2),
+        ConvSpec(6, 6, (3, 3), padding=1, groups=6),
+    ], ids=["dense", "groups2", "depthwise"])
+    def test_block_size_never_changes_a_result(self, spec, monkeypatch):
+        rng = np.random.default_rng(14)
+        kh, kw = spec.kernel
+        x0 = rng.standard_normal((6, 2, 9, 8)).astype(np.float32)
+        w0 = rng.standard_normal((spec.out_channels, 6 // spec.groups, kh, kw))
+        b0 = rng.standard_normal(spec.out_channels)
+        results = []
+        for budget in (tensor._BLOCK_BYTES, 1):
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+            x = Tensor(x0)
+            x.requires_grad = True
+            w = Tensor(w0.astype(np.float32), trainable=True)
+            b = Tensor(b0.astype(np.float32), trainable=True)
+            out = conv2d(x, w, b, spec)
+            out.backward(np.random.default_rng(15).standard_normal(out.shape))
+            results.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+        assert results[0] == results[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(data=st.data())
+    def test_matches_the_loop_oracle_on_drawn_geometry(self, data):
+        draw = data.draw
+        kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        stride, dil, pad = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+        groups = draw(st.integers(1, 3))
+        cin, cout = groups * draw(st.integers(1, 3)), groups * draw(st.integers(1, 3))
+        n = draw(st.integers(1, 3))
+        # the smallest extents with a positive output, plus up to 4
+        h = max(1, dil * (kh - 1) + 1 - 2 * pad) + draw(st.integers(0, 4))
+        w_in = max(1, dil * (kw - 1) + 1 - 2 * pad) + draw(st.integers(0, 4))
+        budget = draw(st.sampled_from([1, tensor._BLOCK_BYTES]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((cin, n, h, w_in))
+        w = rng.standard_normal((cout, cin // groups, kh, kw))
+        b = rng.standard_normal(cout)
+        spec = ConvSpec(cin, cout, (kh, kw), stride=stride, padding=pad, dilation=dil,
+                        groups=groups)
+        with mock.patch.object(tensor, "_BLOCK_BYTES", budget):
+            got = conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
+        want = brute_force_conv(x, w, b, stride, pad, dil, groups)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((2, 1, 4, 4)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
         with pytest.raises(ShapeError, match="channels"):
-            conv2d(x, w, None, ConvSpec(3, 1, (3, 3)))
+            conv2d(x, w, zeros(1), ConvSpec(3, 1, (3, 3)))
 
     def test_nonpositive_output_raises(self):
         with pytest.raises(ConfigError, match="non-positive"):
@@ -174,7 +236,7 @@ class TestLinear:
     def test_identity(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
         w = Tensor(np.eye(3, dtype=np.float32))
-        out = linear(x, w, None)
+        out = linear(x, w, zeros(3))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_sum(self):
@@ -185,7 +247,7 @@ class TestLinear:
     def test_trailing_mismatch(self):
         # the trailing axis is not mixed: only the leading extent must be Din
         with pytest.raises(ShapeError, match="leading extent 2"):
-            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), None)
+            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), zeros(2))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -372,10 +434,11 @@ class TestGradCheckHarness:
         x = Tensor(rng.standard_normal((2, 4, 4)))
         w1 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4, trainable=True)
         w2 = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.4, trainable=True)
+        b1, b2 = zeros(3, np.float64), zeros(2, np.float64)
         s1 = ConvSpec(2, 3, (3, 3), padding=1)
         s2 = ConvSpec(3, 2, (3, 3), padding=1)
         cast_all([x, w1, w2], np.float64)
-        err = grad_check(lambda: conv2d(gelu(conv2d(x, w1, None, s1)), w2, None, s2),
+        err = grad_check(lambda: conv2d(gelu(conv2d(x, w1, b1, s1)), w2, b2, s2),
                          [x, w1, w2])
         assert err < 1e-4
 
@@ -383,7 +446,7 @@ class TestGradCheckHarness:
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((3, 2)))
         w_frozen = Tensor(rng.standard_normal((3, 2)), trainable=False)
-        out = linear(x, w_frozen, None)
+        out = linear(x, w_frozen, zeros(2))
         out.backward()
         assert w_frozen.grad is None
         assert x.grad is None
@@ -393,8 +456,9 @@ class TestGradCheckHarness:
             rng = np.random.default_rng(seed)
             x = Tensor(rng.standard_normal((4, 3)))
             w = Tensor(rng.standard_normal((4, 3)), trainable=True)
+            b = zeros(3, np.float64)
             cast_all([x, w], np.float64)
-            assert grad_check(lambda: sigmoid(linear(x, w, None)), [x, w]) < 1e-4
+            assert grad_check(lambda: sigmoid(linear(x, w, b)), [x, w]) < 1e-4
 
     def test_non_finite_forward_output_raises(self):
         x = Tensor(np.array([1.0, np.inf, 2.0]))
@@ -410,8 +474,8 @@ class TestDeterminism:
         x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         spec = ConvSpec(3, 4, (3, 3), padding=1)
-        a = conv2d(Tensor(x), Tensor(w), None, spec).data
-        b = conv2d(Tensor(x), Tensor(w), None, spec).data
+        a = conv2d(Tensor(x), Tensor(w), zeros(4), spec).data
+        b = conv2d(Tensor(x), Tensor(w), zeros(4), spec).data
         assert a.tobytes() == b.tobytes()
 
 
@@ -420,7 +484,7 @@ _GT_WEIGHTS = pixel_weight_map(_GT[0])
 _TOY = ModelConfig(profile="toy", seed=0)
 
 # (leaf shapes, op applied to the leaves); every public op of tensor.py and
-# losses.py, with each conv2d and reduce branch taken once
+# losses.py, with each conv2d grouping and reduce branch taken once
 _OP_CASES = {
     "add": ([(2, 3, 3), (1, 3, 1)], add),
     "mul": ([(2, 3, 3), (2, 3, 3)], mul),
@@ -437,8 +501,8 @@ _OP_CASES = {
     "conv2d-depthwise": ([(4, 5, 5), (4, 1, 3, 3), (4,)],
                          lambda x, w, b: conv2d(x, w, b, ConvSpec(
                              4, 4, (3, 3), padding=1, groups=4))),
-    "conv2d-grouped": ([(4, 5, 5), (6, 2, 3, 3)],
-                       lambda x, w: conv2d(x, w, None, ConvSpec(
+    "conv2d-grouped": ([(4, 5, 5), (6, 2, 3, 3), (6,)],
+                       lambda x, w, b: conv2d(x, w, b, ConvSpec(
                            4, 6, (3, 3), stride=2, dilation=2, padding=2, groups=2))),
     "bilinear_resize": ([(2, 3, 4)], lambda x: bilinear_resize(x, 5, 7)),
     "reduce-mean": ([(3, 4, 4)], lambda x: reduce(x, "mean", "spatial")),
