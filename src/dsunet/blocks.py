@@ -391,9 +391,9 @@ class DSUNet(Module):
         for name, p in self.named_parameters().items():
             group = name.split(".")[0]
             t, tr = by_module.get(group, (0, 0))
-            by_module[group] = (t + p.size, tr + (p.size if p.trainable else 0))
+            by_module[group] = (t + p.size, tr + (p.size if p.requires_grad else 0))
             total += p.size
-            if p.trainable:
+            if p.requires_grad:
                 trainable += p.size
         fraction = trainable / total if total else 0.0
         return total, trainable, fraction, by_module

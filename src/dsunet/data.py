@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PROFILES, Profile
+from .config import PROFILES
 
 
 class PgmError(ValueError):

@@ -93,8 +93,6 @@ class DSUNetEstimator:
                 samples = _as_samples(X, y)
                 for i, s in enumerate(samples):
                     _check_sample(s, run.model.resolved_profile, i)
-                run.n_train = len(samples)
-                run.n_val = 0
                 result = train(run, samples=samples)
             else:
                 result = train(run)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import DSUNet
-from .config import VARIANTS, ModelConfig, RunConfig, render_config
+from .config import VARIANTS, RunConfig, render_config
 from .container import MAGIC_CHECKPOINT, read_container, write_container
 from .data import (
     Sample,
@@ -16,7 +16,6 @@ from .data import (
     generate_dataset,
     load_dataset,
     read_image_planes,
-    write_dataset,
     write_mask,
 )
 from .losses import total_loss
@@ -166,18 +165,17 @@ def _probability_map(model, image_main, image_aux):
 
     The forward runs with ``requires_grad`` off on every parameter, so no op
     records a backward step and each intermediate map is freed as soon as the
-    next op has used it.  The flags are restored afterwards, also when the
-    forward raises.
+    next op has used it.  The trainable parameters are switched back on
+    afterwards, also when the forward raises.
     """
-    params = model.parameters()
-    flags = [p.requires_grad for p in params]
+    params = model.trainable_parameters().values()
     for p in params:
         p.requires_grad = False
     try:
         d3 = model(Tensor(image_main), Tensor(image_aux)).d3
     finally:
-        for p, f in zip(params, flags):
-            p.requires_grad = f
+        for p in params:
+            p.requires_grad = True
     return logistic(d3.data.astype(np.float64))[0]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _accumulate, _make, logistic
+from .tensor import ShapeError, _accumulate, _make, logistic
 
 
 def _box_mean(gt, kernel, pad):
@@ -104,15 +104,14 @@ class LossBreakdown:
 def total_loss(outputs, gt, config):
     """Weighted multi-level loss over the three decoder outputs.
 
-    Returns the differentiable scalar tensor and a float breakdown.
+    ``gt`` is the H x W ground-truth mask.  Returns the differentiable scalar
+    tensor and a float breakdown.
     """
-    gt2 = np.asarray(gt, dtype=np.float32)
-    if gt2.ndim == 2:
-        gt2 = gt2[None]
-    if config.pixel_weighted_loss:
-        w = pixel_weight_map(gt2[0])
-    else:
-        w = np.ones_like(gt2)
+    gt = np.asarray(gt, dtype=np.float32)
+    if gt.ndim != 2:
+        raise ShapeError(f"total_loss expects an H x W mask, got shape {gt.shape}")
+    gt2 = gt[None]
+    w = pixel_weight_map(gt) if config.pixel_weighted_loss else np.ones_like(gt2)
     weights = config.loss_weights
     bces, ious, levels = [], [], []
     total = None

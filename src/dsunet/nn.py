@@ -4,8 +4,9 @@ Layers take an initialiser ``init(shape, fan_in) -> float32 array`` and call
 it once per parameter, in registration order.  A fresh model passes
 :func:`seeded_init`; a model whose values are assigned right after
 construction (a loaded checkpoint) passes :func:`placeholder_init`.
-Every layer has a bias and starts trainable; a module holding frozen weights
-calls :meth:`Module.freeze` at the end of its own ``__init__``.
+Every layer has a bias, and its parameters start with ``requires_grad`` on;
+a module holding frozen weights calls :meth:`Module.freeze` at the end of its
+own ``__init__``.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ class Module:
     def parameters(self):
         return list(self.named_parameters().values())
 
-    def trainable_parameters(self, prefix=""):
-        return {n: p for n, p in self.named_parameters(prefix).items() if p.trainable}
+    def trainable_parameters(self):
+        return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
 
     def freeze(self):
         for p in self.parameters():
-            p.trainable = False
             p.requires_grad = False
         return self
 
@@ -84,9 +84,9 @@ class Conv2d(Module):
         fan_in = (in_channels // groups) * kh * kw
         self.weight = self.register(
             "weight", Tensor(init((out_channels, in_channels // groups, kh, kw), fan_in),
-                             trainable=True))
+                             requires_grad=True))
         self.bias = self.register(
-            "bias", Tensor(init((out_channels,), fan_in), trainable=True))
+            "bias", Tensor(init((out_channels,), fan_in), requires_grad=True))
 
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, self.spec)
@@ -97,9 +97,9 @@ class Linear(Module):
         super().__init__()
         self.weight = self.register(
             "weight", Tensor(init((in_features, out_features), in_features),
-                             trainable=True))
+                             requires_grad=True))
         self.bias = self.register(
-            "bias", Tensor(init((out_features,), in_features), trainable=True))
+            "bias", Tensor(init((out_features,), in_features), requires_grad=True))
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)

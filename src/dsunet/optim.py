@@ -15,13 +15,14 @@ class AdamW:
     """theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta).
 
     Decay is decoupled: it scales the parameter directly and is never
-    added to the gradient.  Only trainable tensors may be registered.
+    added to the gradient.  Only tensors with ``requires_grad`` on may be
+    registered.
     """
 
     def __init__(self, params, lr=1e-3, weight_decay=5e-4, beta1=0.9,
                  beta2=0.999, eps=1e-8):
         for name, p in params.items():
-            if not p.trainable:
+            if not p.requires_grad:
                 raise ValueError(f"frozen tensor {name!r} passed to the optimizer")
         self.params = dict(params)
         self.lr = lr

@@ -51,20 +51,19 @@ class GradCheckError(RuntimeError):
 class Tensor:
     """N-dimensional float array with an optional gradient buffer.
 
-    ``trainable`` marks leaf parameters eligible for optimizer updates.
-    ``requires_grad`` controls whether a gradient buffer is populated; it
-    defaults to ``trainable`` but may be switched on for inputs that are
-    being gradient-checked.
+    ``requires_grad`` is the one gradient flag: a leaf with it set gets a
+    gradient buffer from :meth:`backward`, and only such leaves may be
+    given to the optimizer.  A module parameter is frozen by switching it
+    off; switching it off for a forward pass records no backward graph.
     """
 
-    def __init__(self, data, trainable=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
-        self.trainable = bool(trainable)
-        self.requires_grad = self.trainable
+        self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
 
@@ -111,7 +110,7 @@ class Tensor:
                 node._backward(node.grad)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, trainable={self.trainable})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # -- operator sugar -------------------------------------------------
 

@@ -18,6 +18,7 @@ from dsunet.blocks import (
 from dsunet.config import PROFILES, ModelConfig
 from dsunet.losses import total_loss
 from dsunet.nn import seeded_init
+from dsunet.optim import AdamW
 from dsunet.tensor import (
     ShapeError,
     Tensor,
@@ -112,7 +113,7 @@ class TestAdapter:
 
     def test_all_parameters_trainable(self):
         ad = Adapter(8, ratio=0.25, init=seeded_init(np.random.default_rng(1)))
-        assert all(p.trainable for p in ad.named_parameters().values())
+        assert all(p.requires_grad for p in ad.named_parameters().values())
 
 
 class TestWaveletDownsample:
@@ -298,7 +299,7 @@ class TestModelAssembly:
         assert loss.dtype == np.float32
         loss.backward()
         for name, param in model.named_parameters().items():
-            if param.trainable:
+            if param.requires_grad:
                 assert param.grad is not None and param.grad.dtype == np.float32, name
         assert {dt for _, dt in received_grads} == {np.dtype(np.float32)}
 
@@ -306,15 +307,35 @@ class TestModelAssembly:
         model = DSUNet(ModelConfig(profile="toy", seed=0))
         for name, p in model.named_parameters().items():
             if name.startswith("encoder."):
-                assert not p.trainable, name
+                assert not p.requires_grad, name
             else:
-                assert p.trainable, name
+                assert p.requires_grad, name
 
     def test_trainable_fraction_below_one(self):
         model = DSUNet(ModelConfig(profile="toy", seed=0))
         total, trainable, fraction, _ = model.parameter_counts()
         assert 0 < trainable < total
         assert fraction < 1.0
+
+    def test_requires_grad_is_the_trainable_flag(self):
+        # one flag moves a weight into or out of the trainable parameters,
+        # the trainable count and the optimizer built from them
+        model = DSUNet(ModelConfig(profile="toy", seed=0))
+        params = model.named_parameters()
+        enc = next(n for n in params if n.startswith("encoder."))
+        dec = next(n for n in params if not n.startswith("encoder."))
+        _, before, _, by_module = model.parameter_counts()
+        params[enc].requires_grad = True
+        params[dec].requires_grad = False
+        trainable = model.trainable_parameters()
+        assert enc in trainable and dec not in trainable
+        _, after, _, by_module_after = model.parameter_counts()
+        assert after == before + params[enc].size - params[dec].size
+        assert by_module_after["encoder"][1] == by_module["encoder"][1] + params[enc].size
+        optimizer = AdamW(trainable)
+        assert enc in optimizer.params and dec not in optimizer.params
+        with pytest.raises(ValueError, match="frozen tensor"):
+            AdamW({dec: params[dec]})
 
     def test_same_seed_same_weights(self):
         a = DSUNet(ModelConfig(profile="toy", seed=7))

@@ -60,7 +60,7 @@ class TestToyHiera:
 
     def test_parameters_frozen(self):
         enc = ToyHiera(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
-        assert all(not p.trainable for p in enc.named_parameters().values())
+        assert all(not p.requires_grad for p in enc.named_parameters().values())
 
 
 class TestToyViT:

@@ -35,10 +35,10 @@ def tiny_run(out_dir, **overrides):
 
 class TestAdamW:
     def _param(self, value=1.0):
-        return Tensor(np.full((3,), value, dtype=np.float64), trainable=True)
+        return Tensor(np.full((3,), value, dtype=np.float64), requires_grad=True)
 
     def test_rejects_frozen(self):
-        p = Tensor(np.zeros(3), trainable=False)
+        p = Tensor(np.zeros(3), requires_grad=False)
         with pytest.raises(ValueError, match="frozen"):
             AdamW({"w": p})
 
@@ -75,8 +75,8 @@ class TestAdamW:
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(0)
-        p1 = Tensor(rng.standard_normal(4), trainable=True)
-        p2 = Tensor(rng.standard_normal(4).copy(), trainable=True)
+        p1 = Tensor(rng.standard_normal(4), requires_grad=True)
+        p2 = Tensor(rng.standard_normal(4).copy(), requires_grad=True)
         p2.data[:] = p1.data
         a = AdamW({"w": p1}, lr=0.05)
         for _ in range(3):
@@ -99,7 +99,7 @@ class TestAdamW:
         np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_convergence_on_quadratic(self):
-        p = Tensor(np.array([5.0, -3.0]), trainable=True)
+        p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = AdamW({"w": p}, lr=0.1, weight_decay=0.0)
         for _ in range(300):
             p.grad = 2.0 * p.data  # d/dx of |x|^2

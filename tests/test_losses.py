@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestWeightedBCE:
         assert float(loss.data) == pytest.approx(500.0, rel=1e-9)
 
     def test_backward_at_saturated_logits_without_a_warning(self):
-        z = Tensor(np.array([[[-1000.0, 1000.0]]]), trainable=True)
+        z = Tensor(np.array([[[-1000.0, 1000.0]]]), requires_grad=True)
         gt = np.array([[[1.0, 0.0]]])
         loss = weighted_bce(z, gt, np.ones_like(gt))
         with warnings.catch_warnings():
@@ -153,7 +154,7 @@ class TestWeightedIoU:
         assert got == pytest.approx(naive, rel=1e-10)
 
     def test_saturated_logits_without_a_warning(self):
-        z = Tensor(np.array([[[-1000.0, 1000.0]]]), trainable=True)
+        z = Tensor(np.array([[[-1000.0, 1000.0]]]), requires_grad=True)
         gt = np.array([[[0.0, 1.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -242,6 +243,13 @@ class TestTotalLoss:
         for t in outputs.levels():
             assert t.grad is not None
             assert np.any(t.grad != 0)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (2, 16, 16), (16,)])
+    def test_mask_must_be_h_by_w(self, shape):
+        outputs = self._outputs(np.random.default_rng(6))
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            total_loss(outputs, np.zeros(shape, dtype=np.float32),
+                       ModelConfig(profile="toy", seed=0))
 
     def test_end_to_end_gradient(self):
         rng = np.random.default_rng(5)

@@ -154,8 +154,8 @@ class TestConv2d:
         kh, kw = spec.kernel
         x = Tensor(rng.standard_normal(xshape))
         w = Tensor(rng.standard_normal((spec.out_channels, spec.in_channels // spec.groups,
-                                        kh, kw)), trainable=True)
-        b = Tensor(rng.standard_normal(spec.out_channels), trainable=True)
+                                        kh, kw)), requires_grad=True)
+        b = Tensor(rng.standard_normal(spec.out_channels), requires_grad=True)
         cast_all([x, w, b], np.float64)
         # a linear op: the finite-difference round-off alone reaches 2.5e-6
         # on the batched dense case
@@ -179,8 +179,8 @@ class TestConv2d:
             monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
             x = Tensor(x0)
             x.requires_grad = True
-            w = Tensor(w0.astype(np.float32), trainable=True)
-            b = Tensor(b0.astype(np.float32), trainable=True)
+            w = Tensor(w0.astype(np.float32), requires_grad=True)
+            b = Tensor(b0.astype(np.float32), requires_grad=True)
             out = conv2d(x, w, b, spec)
             out.backward(np.random.default_rng(15).standard_normal(out.shape))
             results.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
@@ -224,8 +224,8 @@ class TestConv2d:
     def test_grouped_conv_gradients(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((4, 5, 5)))
-        w = Tensor(rng.standard_normal((4, 2, 3, 3)), trainable=True)
-        b = Tensor(rng.standard_normal(4), trainable=True)
+        w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
         spec = ConvSpec(4, 4, (3, 3), padding=1, groups=2)
         cast_all([x, w, b], np.float64)
         err = grad_check(lambda: conv2d(x, w, b, spec), [x, w, b])
@@ -252,8 +252,8 @@ class TestLinear:
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((4, 5)))
-        w = Tensor(rng.standard_normal((4, 2)), trainable=True)
-        b = Tensor(rng.standard_normal(2), trainable=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
         cast_all([x, w, b], np.float64)
         assert grad_check(lambda: linear(x, w, b), [x, w, b]) < 1e-4
 
@@ -263,8 +263,8 @@ class TestLinear:
         # C x 1 x 1 is CGA's pooled channel vector; C x N x H x W a batch
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal(xshape))
-        w = Tensor(rng.standard_normal((6, 3)), trainable=True)
-        b = Tensor(rng.standard_normal(3), trainable=True)
+        w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
         want = np.einsum("c...,cd->d...", x.data, w.data) \
             + b.data.reshape((3,) + (1,) * (len(xshape) - 1))
         got = linear(x, w, b).data
@@ -281,7 +281,7 @@ class TestActivations:
         assert relu(Tensor([-1.0])).data[0] == 0.0
 
     def test_gelu_at_three(self):
-        got = float(gelu(Tensor([3.0], dtype=np.float64)).data[0])
+        got = float(gelu(Tensor([3.0])).data[0])
         # straight-line evaluation of the tanh approximation
         want = 0.5 * 3 * (1 + np.tanh(np.sqrt(2 / np.pi) * (3 + 0.044715 * 27)))
         assert abs(got - want) < 1e-12
@@ -432,8 +432,8 @@ class TestGradCheckHarness:
     def test_composition_conv_gelu_conv(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((2, 4, 4)))
-        w1 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4, trainable=True)
-        w2 = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.4, trainable=True)
+        w1 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4, requires_grad=True)
+        w2 = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.4, requires_grad=True)
         b1, b2 = zeros(3, np.float64), zeros(2, np.float64)
         s1 = ConvSpec(2, 3, (3, 3), padding=1)
         s2 = ConvSpec(3, 2, (3, 3), padding=1)
@@ -445,7 +445,7 @@ class TestGradCheckHarness:
     def test_frozen_tensor_gets_no_grad_buffer(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((3, 2)))
-        w_frozen = Tensor(rng.standard_normal((3, 2)), trainable=False)
+        w_frozen = Tensor(rng.standard_normal((3, 2)), requires_grad=False)
         out = linear(x, w_frozen, zeros(2))
         out.backward()
         assert w_frozen.grad is None
@@ -455,14 +455,14 @@ class TestGradCheckHarness:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             x = Tensor(rng.standard_normal((4, 3)))
-            w = Tensor(rng.standard_normal((4, 3)), trainable=True)
+            w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
             b = zeros(3, np.float64)
             cast_all([x, w], np.float64)
             assert grad_check(lambda: sigmoid(linear(x, w, b)), [x, w]) < 1e-4
 
     def test_non_finite_forward_output_raises(self):
         x = Tensor(np.array([1.0, np.inf, 2.0]))
-        w = Tensor(np.ones(3), trainable=True)
+        w = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(GradCheckError, match=r"index \(1,\)"):
             grad_check(lambda: x * w, [w])
         assert w.requires_grad and w.grad is None
@@ -524,7 +524,7 @@ class TestDtypeContract:
     def test_op_keeps_dtype(self, name, dtype, received_grads):
         shapes, op = _OP_CASES[name]
         rng = np.random.default_rng(0)
-        leaves = [Tensor(rng.standard_normal(s), trainable=True) for s in shapes]
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
         cast_all(leaves, dtype)
         out = op(*leaves)
         assert out.dtype == dtype
@@ -540,7 +540,7 @@ class TestDtypeContract:
             _leaky_op(x)
 
     def test_accumulate_rejects_a_changed_gradient_dtype(self):
-        x = Tensor(np.ones((2, 2), dtype=np.float32), trainable=True)
+        x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
         out = _leaky_backward_op(x)
         assert out.dtype == np.float32
         with pytest.raises(DTypeError, match="float64 gradient for a float32 tensor"):
