@@ -4,14 +4,17 @@ Predictions are continuous maps in [0, 1]; ground truths are binary.
 All arithmetic is float64 with epsilon 1e-8 in denominators.
 
 F and E score the binary maps ``pred >= t``, at one adaptive threshold or
-averaged over 255 uniform ones.  Neither rescans the map per threshold: one
-pass bins every pixel by the number of thresholds it reaches, per
-ground-truth class, and cumulative sums of those two histograms give the TP
-and FP counts at every threshold, as PySODMetrics does
-(https://github.com/lartpang/PySODMetrics).  F follows from the counts
-directly.  On a binary map the enhanced-alignment term of E (Fan et al.,
-arXiv:1805.10421) takes one value per (prediction, truth) pixel class, so E
-is the count-weighted mean of four values.
+averaged over the 255 uniform ones ``(k + 0.5) / 255``.  Neither rescans the
+map per threshold: one pass bins every pixel by the number of thresholds it
+reaches, per ground-truth class, and cumulative sums of those two histograms
+give the TP and FP counts at every threshold, as PySODMetrics does
+(https://github.com/lartpang/PySODMetrics).  On the uniform grid a pixel's
+bin is arithmetic: ``floor(255 p + 0.5)`` is never more than one off, and one
+comparison each way against the thresholds themselves makes it exact, so a
+pixel on a threshold reaches it, as ``pred >= t`` has it.  F follows from the
+counts directly.  On a binary map the enhanced-alignment term of E (Fan et
+al., arXiv:1805.10421) takes one value per (prediction, truth) pixel class, so
+E is the count-weighted mean of four values.
 """
 
 from __future__ import annotations
@@ -50,29 +53,42 @@ def mae(pred, gt):
     return float(np.abs(pred - gt).mean())
 
 
-def _thresholds(pred, policy):
-    """The binarization thresholds a policy scores: one, or all 255."""
-    if policy == "adaptive":
-        return np.array([min(2.0 * float(pred.mean()), 1.0)])
-    if policy == "mean_thresholds":
-        return _THRESHOLDS
-    raise MetricError(f"unknown policy {policy!r}")
+def _adaptive_bins(pred):
+    """Bin 1 if a pixel reaches the threshold min(2 mean, 1), else bin 0."""
+    return pred >= min(2.0 * float(pred.mean()), 1.0)
 
 
-def _confusion_counts(pred, gt_fg, thresholds):
-    """TP and FP of the binary map `pred >= t` at each sorted threshold t.
+def _grid_bins(pred):
+    """How many of the 255 thresholds in `_THRESHOLDS` each pixel reaches.
+
+    Clamping sends NaN to -1 (a NaN reaches no threshold) and keeps 255 p
+    finite.  The rounded guess is off by at most one, near a threshold, and
+    the two corrections compare against ``(k +- 0.5) / 255``, the very floats
+    of `_THRESHOLDS`, so the bins are exact.
+    """
+    c = np.fmin(np.fmax(pred, -1.0), 2.0)
+    k = np.floor(c * 255.0 + 0.5)
+    k += c >= (k + 0.5) / 255.0
+    k -= c < (k - 0.5) / 255.0
+    return np.clip(k, 0.0, 255.0).astype(np.intp)
+
+
+# policy -> (bin function, number of thresholds)
+_BINNINGS = {"adaptive": (_adaptive_bins, 1),
+             "mean_thresholds": (_grid_bins, len(_THRESHOLDS))}
+
+
+def _confusion_counts(pred, gt_fg, policy):
+    """TP and FP of the binary map `pred >= t` at each of a policy's thresholds.
 
     One pass over the map: each pixel goes to the bin of the number of
-    thresholds it reaches (``searchsorted``, so a pixel on a threshold
-    reaches it), one histogram per ground-truth class, and the pixels that
-    reach threshold k are those in bins k+1 and up.  A NaN pixel reaches no
-    threshold.
+    thresholds it reaches, one histogram per ground-truth class, and the
+    pixels that reach threshold k are those in bins k+1 and up.
     """
-    n = len(thresholds)
-    pred = pred.ravel()
-    bins = np.searchsorted(thresholds, pred, side="right")
-    bins[np.isnan(pred)] = 0
-    hist = np.bincount(bins + (n + 1) * gt_fg.ravel(),
+    if policy not in _BINNINGS:
+        raise MetricError(f"unknown policy {policy!r}")
+    binning, n = _BINNINGS[policy]
+    hist = np.bincount(binning(pred.ravel()) + (n + 1) * gt_fg.ravel(),
                        minlength=2 * (n + 1)).reshape(2, n + 1)
     reached = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1].astype(np.float64)
     return reached[1], reached[0]
@@ -84,7 +100,7 @@ def f_measure(pred, gt, beta2=0.3, policy="adaptive"):
     n_fg = float(np.count_nonzero(gt_fg))
     if n_fg == 0.0:
         raise UndefinedMetric("F-measure undefined for empty-foreground ground truth")
-    tp, fp = _confusion_counts(pred, gt_fg, _thresholds(pred, policy))
+    tp, fp = _confusion_counts(pred, gt_fg, policy)
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = tp / (tp + fp)
         recall = tp / n_fg
@@ -105,7 +121,7 @@ def e_measure(pred, gt, policy="adaptive"):
     gt_fg = gt >= 0.5
     n = float(gt_fg.size)
     n_fg = float(np.count_nonzero(gt_fg))
-    tp, fp = _confusion_counts(pred, gt_fg, _thresholds(pred, policy))
+    tp, fp = _confusion_counts(pred, gt_fg, policy)
     if n_fg == 0.0:
         scores = (n - fp) / n       # enhanced = 1 - c
     elif n_fg == n:
@@ -156,10 +172,11 @@ def s_measure(pred, gt):
     s_object = mu * _object_score(pred[fg]) + (1.0 - mu) * _object_score(
         1.0 - pred[~fg])
 
-    rows, cols = np.nonzero(fg)
-    cy = int(round(rows.mean()))
-    cx = int(round(cols.mean()))
+    # the index sums are exact integers, so this is the mean foreground index
     h, w = gt_bin.shape
+    n_fg = np.count_nonzero(fg)
+    cy = int(round(np.arange(h) @ np.count_nonzero(fg, axis=1) / n_fg))
+    cx = int(round(np.arange(w) @ np.count_nonzero(fg, axis=0) / n_fg))
     area = h * w
     s_region = 0.0
     for rs, cs in ((slice(0, cy), slice(0, cx)), (slice(0, cy), slice(cx, w)),

@@ -32,12 +32,14 @@ def _random_binary_mask(rng, h=16, w=16):
 
 def _threshold_oracle_pair(rng, h=8, w=8):
     """A small continuous map with PGM-quantised rows, pixels lying exactly on
-    thresholds, and exact 0 and 1, against a mixed mask; small because the
-    brute-force loops run over 255 thresholds."""
+    thresholds, a row one ulp off thresholds, and exact 0 and 1, against a
+    mixed mask; small because the brute-force loops run over 255 thresholds."""
     pred = rng.random((h, w))
     pred[::2] = rng.integers(0, 256, (h // 2 + h % 2, w)) / 255.0
     pred[1, : w // 2] = (rng.integers(0, 255, w // 2) + 0.5) / 255.0
     pred[3, 0], pred[3, 1] = 0.0, 1.0
+    pred[5] = np.nextafter((rng.integers(0, 255, w) + 0.5) / 255.0,
+                           rng.choice([-np.inf, np.inf], w))
     return pred, _random_binary_mask(rng, h, w)
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dsunet.data import write_pgm
 from dsunet.metrics import (
     _THRESHOLDS,
+    _grid_bins,
     EPS,
     MetricError,
     UndefinedMetric,
@@ -274,6 +277,20 @@ def _one_nan(rng, shape):
     return pred
 
 
+def _next_to_thresholds(rng, shape):
+    # one ulp below or above a threshold: where a rounded guess of the bin errs
+    return np.nextafter(_THRESHOLDS[rng.integers(0, 255, shape)],
+                        rng.choice([-np.inf, np.inf], shape))
+
+
+def _out_of_range(rng, shape):
+    # one infinity per map: +inf and -inf together make the adaptive
+    # threshold's mean NaN with an invalid-value warning
+    pred = rng.uniform(-2.0, 3.0, shape)
+    pred.flat[rng.integers(0, pred.size)] = rng.choice([-np.inf, np.inf])
+    return pred
+
+
 MAP_KINDS = {
     "continuous": _continuous,
     "pgm_quantised": _pgm_quantised,
@@ -281,6 +298,8 @@ MAP_KINDS = {
     "exact_0_and_1": _with_exact_ends,
     "constant": _constant,
     "nan_pixel": _one_nan,
+    "next_to_thresholds": _next_to_thresholds,
+    "out_of_range": _out_of_range,
 }
 
 
@@ -330,6 +349,30 @@ class TestCountsMatchPerThreshold:
         assert f_measure(pred, gt, 0.3, "mean_thresholds") == pytest.approx(
             per_threshold_f(pred, gt, 0.3, "mean_thresholds"), abs=1e-12)
         assert f_measure(pred, gt, 0.3, "mean_thresholds") < 1.0
+
+
+def _nudged_threshold(k, ulps):
+    t = _THRESHOLDS[k]
+    for _ in range(abs(ulps)):
+        t = np.nextafter(t, np.copysign(np.inf, ulps))
+    return float(t)
+
+
+_BIN_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(_nudged_threshold, st.integers(0, 254), st.integers(-3, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(values=st.lists(_BIN_VALUES, min_size=1, max_size=40))
+@example(values=[_nudged_threshold(k, ulps)           # every close neighbour
+                 for k in range(255) for ulps in range(-3, 4)])
+def test_grid_bins_equal_searchsorted(values):
+    # the searchsorted binning that the arithmetic one replaced is the reference
+    pred = np.array(values, dtype=np.float64)
+    expected = np.searchsorted(_THRESHOLDS, pred, side="right")
+    expected[np.isnan(pred)] = 0
+    np.testing.assert_array_equal(_grid_bins(pred), expected)
 
 
 def test_verify_metric_checks_return_python_bools():
