@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import inspect
-import tempfile
 from dataclasses import fields
 
 import numpy as np
 
 from .config import ModelConfig, RunConfig
 from .data import Sample
-from .harness import predict_sample, train
+from .harness import fit_samples, load_or_generate, predict_sample
 
 
 def _check_sample(sample, profile, index):
@@ -68,7 +67,7 @@ class DSUNetEstimator:
             setattr(self, key, value)
         return self
 
-    def _run_config(self, out_dir):
+    def _run_config(self):
         """Each ModelConfig and RunConfig field named like a parameter takes
         its value (`seed` sets both); the others keep their defaults."""
         params = self.get_params()
@@ -77,27 +76,27 @@ class DSUNetEstimator:
             return {f.name: params[f.name] for f in fields(cls) if f.name in params}
 
         return RunConfig(model=ModelConfig(**fields_of(ModelConfig)),
-                         out_dir=out_dir, **fields_of(RunConfig))
+                         **fields_of(RunConfig))
 
     def fit(self, X=None, y=None):
-        with tempfile.TemporaryDirectory() as tmp:
-            run = self._run_config(tmp)
-            if X is not None:
-                X = list(X)
-                n_masks = 0 if y is None else len(y)
-                # Samples carry their masks; image pairs take theirs from y
-                if n_masks != len(X) and (y is not None or not all(
-                        isinstance(item, Sample) for item in X)):
-                    raise ValueError(f"fit got {len(X)} training inputs but "
-                                     f"{n_masks} masks in y")
-                samples = _as_samples(X, y)
-                for i, s in enumerate(samples):
-                    _check_sample(s, run.model.resolved_profile, i)
-                result = train(run, samples=samples)
-            else:
-                result = train(run)
-        self.model_ = result.model
-        self.epoch_losses_ = [row[-1] for row in result.epoch_rows]
+        """Train in memory; writes no file."""
+        run = self._run_config()
+        if X is not None:
+            X = list(X)
+            n_masks = 0 if y is None else len(y)
+            # Samples carry their masks; image pairs take theirs from y
+            if n_masks != len(X) and (y is not None or not all(
+                    isinstance(item, Sample) for item in X)):
+                raise ValueError(f"fit got {len(X)} training inputs but "
+                                 f"{n_masks} masks in y")
+            samples = _as_samples(X, y)
+            for i, s in enumerate(samples):
+                _check_sample(s, run.model.resolved_profile, i)
+        else:
+            samples, _ = load_or_generate(run)
+        model, _, epoch_rows = fit_samples(run, samples)
+        self.model_ = model
+        self.epoch_losses_ = [row[-1] for row in epoch_rows]
         return self
 
     def predict(self, X):

@@ -86,7 +86,10 @@ class TrainResult:
 LOG_HEADER = ("epoch,bce1,iou1,level1,bce2,iou2,level2,bce3,iou3,level3,total")
 
 
-def _load_or_generate(run):
+def load_or_generate(run):
+    """(train, val) samples: the first ``n_train`` and next ``n_val`` of
+    ``run.data_dir``, or generated from ``run.seed`` (training) and
+    ``run.seed + VAL_SEED_OFFSET`` (validation)."""
     if run.data_dir:
         samples = load_dataset(run.data_dir)
         n_train = min(run.n_train, len(samples))
@@ -97,21 +100,30 @@ def _load_or_generate(run):
     return train, val
 
 
-def train(run: RunConfig, progress=None, samples=None):
-    """Deterministic training loop; writes a CSV log and a final checkpoint.
+def _train_step(model, sample, scale, where):
+    """One sample's forward, loss, finiteness check and backward.
 
-    ``samples``, when given, is the training set itself, used as it is
-    (no validation samples); otherwise the samples come from
-    ``run.data_dir`` or are generated from ``run.seed``; none is a ValueError.
+    Returns the loss breakdown.  The sample's graph is referenced only from
+    here, so it is freed when this returns, before the next forward builds
+    another.
     """
-    if samples is None:
-        train_samples, val_samples = _load_or_generate(run)
-    else:
-        train_samples, val_samples = list(samples), []
-    if not train_samples:
+    outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
+    loss, br = total_loss(outputs, sample.gt, model.config)
+    if not np.isfinite(br.total):
+        raise TrainingDiverged(f"non-finite loss at {where}")
+    loss.backward(np.asarray(scale, dtype=loss.dtype))
+    return br
+
+
+def fit_samples(run: RunConfig, samples, progress=None):
+    """Deterministic in-memory training loop over the given samples.
+
+    Returns (model, optimizer, epoch_rows) and writes nothing.  An empty
+    sample list is a ValueError, raised before the model is built.
+    """
+    if not samples:
         raise ValueError("no training samples: n_train is 0, the data_dir "
                          "manifest lists none, or the given sample list is empty")
-    os.makedirs(run.out_dir, exist_ok=True)
     model = DSUNet(run.model)
     optimizer = AdamW(model.trainable_parameters(), lr=run.lr,
                       weight_decay=run.weight_decay)
@@ -119,7 +131,7 @@ def train(run: RunConfig, progress=None, samples=None):
     augment_rng = np.random.default_rng(run.seed + 2)
 
     epoch_rows = []
-    n = len(train_samples)
+    n = len(samples)
     for epoch in range(run.epochs):
         order = shuffle_rng.permutation(n)
         sums = np.zeros(10)
@@ -128,13 +140,9 @@ def train(run: RunConfig, progress=None, samples=None):
             optimizer.zero_grad()
             scale = 1.0 / len(batch_idx)
             for i in batch_idx:
-                sample = augment_flip(train_samples[i], augment_rng)
-                outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
-                loss, br = total_loss(outputs, sample.gt, run.model)
-                if not np.isfinite(br.total):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch + 1}, step {start // run.batch + 1}")
-                loss.backward(np.asarray(scale, dtype=loss.dtype))
+                sample = augment_flip(samples[i], augment_rng)
+                br = _train_step(model, sample, scale,
+                                 f"epoch {epoch + 1}, step {start // run.batch + 1}")
                 sums += np.array([br.bce[0], br.iou[0], br.levels[0],
                                   br.bce[1], br.iou[1], br.levels[1],
                                   br.bce[2], br.iou[2], br.levels[2],
@@ -144,7 +152,13 @@ def train(run: RunConfig, progress=None, samples=None):
         epoch_rows.append(means)
         if progress:
             progress(epoch + 1, means[-1])
+    return model, optimizer, epoch_rows
 
+
+def _write_run(run, model, optimizer, epoch_rows):
+    """Write ``train_log.csv`` and ``model.dsut`` into ``run.out_dir``;
+    returns (checkpoint path, log path)."""
+    os.makedirs(run.out_dir, exist_ok=True)
     log_path = os.path.join(run.out_dir, "train_log.csv")
     with open(log_path, "w", encoding="utf-8") as f:
         f.write(LOG_HEADER + "\n")
@@ -153,6 +167,15 @@ def train(run: RunConfig, progress=None, samples=None):
 
     ckpt_path = os.path.join(run.out_dir, "model.dsut")
     save_checkpoint(ckpt_path, model, run, optimizer)
+    return ckpt_path, log_path
+
+
+def train(run: RunConfig, progress=None):
+    """Train on ``run.data_dir``'s samples, or on samples generated from
+    ``run.seed``; writes a CSV log and a final checkpoint."""
+    train_samples, val_samples = load_or_generate(run)
+    model, optimizer, epoch_rows = fit_samples(run, train_samples, progress)
+    ckpt_path, log_path = _write_run(run, model, optimizer, epoch_rows)
     return TrainResult(model, run, epoch_rows, ckpt_path, log_path,
                        train_samples, val_samples)
 
@@ -222,19 +245,21 @@ def format_parameter_report(model):
 def ablate(base_run: RunConfig):
     """Train and evaluate every fusion variant on a shared dataset and seed.
 
-    Returns rows of (variant, means dict); the proposed configuration
-    ("full") is produced last.
+    The dataset is loaded or generated once for the whole sweep.  Returns
+    rows of (variant, means dict); the proposed configuration ("full") is
+    produced last.
     """
+    train_samples, val_samples = load_or_generate(base_run)
     rows = []
     for variant in VARIANTS:
         run = replace(base_run,
                       model=replace(base_run.model, variant=variant),
                       out_dir=os.path.join(base_run.out_dir, f"variant_{variant}"))
-        result = train(run)
+        model, optimizer, epoch_rows = fit_samples(run, train_samples)
+        _write_run(run, model, optimizer, epoch_rows)
         pairs = []
-        for sample in result.val_samples:
-            pred = _probability_map(result.model, sample.image_main,
-                                    sample.image_aux)
+        for sample in val_samples:
+            pred = _probability_map(model, sample.image_main, sample.image_aux)
             pairs.append((sample.id, pred, sample.gt.astype(np.float64)))
         report = compute_report(pairs, beta2=run.model.beta2_f)
         rows.append((variant, report.means))

@@ -161,6 +161,9 @@ def _region_q(x, y):
 
 def s_measure(pred, gt):
     pred, gt = _check(pred, gt)
+    if not np.isfinite(pred).all():
+        raise MetricError("S-measure needs a finite prediction map; "
+                          "it holds NaN or inf")
     gt_bin = (gt >= 0.5).astype(np.float64)
     mu = gt_bin.mean()
     if mu == 0.0:

@@ -43,6 +43,17 @@ def _threshold_oracle_pair(rng, h=8, w=8):
     return pred, _random_binary_mask(rng, h, w)
 
 
+def _threshold_neighbour_pair():
+    """Both float neighbours of each of the 255 thresholds, one ulp below and
+    one above, against a fixed mixed mask: the values where a bin guessed
+    from ``255 p`` is off by one unless it is corrected."""
+    t = (np.arange(255) + 0.5) / 255.0
+    pred = np.concatenate([np.nextafter(t, -np.inf),
+                           np.nextafter(t, np.inf)]).reshape(30, 17)
+    g = (np.arange(pred.size) % 3 == 0).reshape(pred.shape).astype(np.float64)
+    return pred, g
+
+
 def _brute_mean_over_thresholds(pred, g, score):
     """Mean of score(binary map, g) over the 255 thresholds (k + 0.5) / 255."""
     rows, g = pred.tolist(), g.tolist()
@@ -207,8 +218,9 @@ def check_metric_oracles(seeds=range(20)):
 
     worst_fmean = 0.0
     worst_emean = 0.0
-    for seed in seeds:
-        pred, g = _threshold_oracle_pair(np.random.default_rng(seed + 600))
+    pairs = [_threshold_oracle_pair(np.random.default_rng(seed + 600))
+             for seed in seeds]
+    for pred, g in pairs + [_threshold_neighbour_pair()]:
         worst_fmean = max(worst_fmean, abs(
             _brute_mean_over_thresholds(pred, g, _brute_f)
             - f_measure(pred, g, 0.3, "mean_thresholds")))

@@ -5,7 +5,7 @@ import pytest
 
 from dsunet import DSUNetEstimator
 from dsunet.data import generate_sample, load_dataset, write_dataset
-from dsunet.harness import train
+from dsunet.harness import fit_samples, load_or_generate
 
 
 def make_samples(n, seed_base=0):
@@ -62,9 +62,9 @@ class TestFitPredict:
         X = [(s.image_main, s.image_aux) for s in samples]
         y = [s.gt for s in samples]
         est = DSUNetEstimator(**fast_params()).fit(X, y)
-        ref = train(est._run_config(str(tmp_path / "ref")), samples=samples)
+        ref, _, _ = fit_samples(est._run_config(), samples)
         got = est.model_.named_parameters()
-        for name, p in ref.model.named_parameters().items():
+        for name, p in ref.named_parameters().items():
             assert got[name].data.tobytes() == p.data.tobytes(), name
 
         # the clipped, 8-bit copies a PGM round trip makes train another model
@@ -75,6 +75,26 @@ class TestFitPredict:
             [(s.image_main, s.image_aux) for s in quantised], y)
         assert any(other.model_.named_parameters()[name].data.tobytes()
                    != p.data.tobytes() for name, p in got.items())
+
+    def test_fit_without_X_trains_on_the_loaders_samples(self):
+        est = DSUNetEstimator(**fast_params()).fit()
+        samples, _ = load_or_generate(est._run_config())
+        ref, _, rows = fit_samples(est._run_config(), samples)
+        assert est.epoch_losses_ == [row[-1] for row in rows]
+        got = est.model_.named_parameters()
+        for name, p in ref.named_parameters().items():
+            assert got[name].data.tobytes() == p.data.tobytes(), name
+
+    @pytest.mark.parametrize("with_X", [False, True])
+    def test_fit_writes_no_file(self, with_X, monkeypatch):
+        def no_write(*args, **kwargs):
+            raise AssertionError("fit wrote a file")
+
+        monkeypatch.setattr("dsunet.harness.save_checkpoint", no_write)
+        monkeypatch.setattr("tempfile.TemporaryDirectory", no_write)
+        samples = make_samples(2) if with_X else None
+        est = DSUNetEstimator(**fast_params()).fit(samples)
+        assert len(est.epoch_losses_) == 1
 
     def test_fit_on_no_samples_raises(self):
         with pytest.raises(ValueError, match="no training samples"):

@@ -1,10 +1,13 @@
 import os
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dsunet.data
+import dsunet.harness
 import dsunet.nn
 from dsunet.blocks import DSUNet
 from dsunet.cli import main as cli_main
@@ -13,6 +16,8 @@ from dsunet.container import MAGIC_CHECKPOINT, read_container, write_container
 from dsunet.data import generate_sample, read_pgm
 from dsunet.harness import (
     LOG_HEADER,
+    ablate,
+    fit_samples,
     format_ablation_table,
     format_parameter_report,
     load_checkpoint,
@@ -290,12 +295,36 @@ class TestTraining:
 
     def test_training_on_given_samples(self, tmp_path):
         samples = [generate_sample(20 + i, "sod", "toy") for i in range(3)]
-        res = train(tiny_run(str(tmp_path / "run")), samples=samples)
-        assert len(res.train_samples) == 3 and res.val_samples == []
-        assert all(a is b for a, b in zip(res.train_samples, samples))
-        assert len(res.epoch_rows) == 1
+        out = tmp_path / "run"
+        model, optimizer, rows = fit_samples(tiny_run(str(out)), samples)
+        assert len(rows) == 1 and rows[0].shape == (10,)
+        assert all(optimizer.params[name] is p
+                   for name, p in model.trainable_parameters().items())
+        assert not out.exists()
 
-    @pytest.mark.parametrize("route", ["n_train-0", "empty-manifest"])
+    def test_each_sample_graph_is_freed_before_the_next_forward(
+            self, monkeypatch):
+        losses, alive_at_forward = [], []
+        real_total_loss = dsunet.harness.total_loss
+        real_forward = DSUNet.forward
+
+        def recording_total_loss(*args, **kwargs):
+            loss, br = real_total_loss(*args, **kwargs)
+            losses.append(weakref.ref(loss))
+            return loss, br
+
+        def checking_forward(self, *args, **kwargs):
+            alive_at_forward.append([ref() is not None for ref in losses])
+            return real_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(dsunet.harness, "total_loss", recording_total_loss)
+        monkeypatch.setattr(DSUNet, "forward", checking_forward)
+        samples = [generate_sample(20 + i, "sod", "toy") for i in range(2)]
+        fit_samples(tiny_run("unused"), samples)
+        assert alive_at_forward == [[], [False]]
+
+    @pytest.mark.parametrize("route", ["n_train-0", "empty-manifest",
+                                       "empty-list"])
     def test_no_training_sample_raises_before_building(self, route, tmp_path,
                                                        monkeypatch):
         def no_model(*args, **kwargs):
@@ -305,13 +334,16 @@ class TestTraining:
         out = tmp_path / "run"
         if route == "n_train-0":
             run = tiny_run(str(out), n_train=0)
-        else:
+        elif route == "empty-manifest":
             data = tmp_path / "data"
             data.mkdir()
             (data / "manifest.txt").write_text("")
             run = tiny_run(str(out), data_dir=str(data))
         with pytest.raises(ValueError, match="no training samples"):
-            train(run)
+            if route == "empty-list":
+                fit_samples(tiny_run(str(out)), [])
+            else:
+                train(run)
         assert not out.exists()
 
     def test_training_from_dataset_dir(self, tmp_path):
@@ -322,6 +354,26 @@ class TestTraining:
         res = train(run)
         assert len(res.train_samples) == 4
         assert len(res.val_samples) == 2
+
+
+class TestAblation:
+    def test_sweep_generates_its_dataset_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = dsunet.data.generate_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dsunet.data, "generate_sample", counting)
+        run = tiny_run(str(tmp_path / "sweep"), n_train=2, n_val=1)
+        rows = ablate(run)
+        assert len(calls) == run.n_train + run.n_val
+        assert [variant for variant, _ in rows] == ["A", "B", "C", "full"]
+        for variant, _ in rows:
+            out = tmp_path / "sweep" / f"variant_{variant}"
+            assert (out / "model.dsut").exists()
+            assert (out / "train_log.csv").exists()
 
 
 class TestPredictExport:

@@ -382,6 +382,23 @@ def test_verify_metric_checks_return_python_bools():
     assert all(type(ok) is bool and ok for _, ok, _ in results), results
 
 
+def test_verify_catches_a_bin_guess_without_its_downward_correction(
+        monkeypatch):
+    import dsunet.metrics as metrics
+
+    def uncorrected_bins(pred):
+        c = np.fmin(np.fmax(pred, -1.0), 2.0)
+        k = np.floor(c * 255.0 + 0.5)
+        k += c >= (k + 0.5) / 255.0
+        return np.clip(k, 0.0, 255.0).astype(np.intp)
+
+    monkeypatch.setitem(metrics._BINNINGS, "mean_thresholds",
+                        (uncorrected_bins, len(_THRESHOLDS)))
+    failed = {name for name, ok, _ in check_metric_oracles(seeds=range(3))
+              if not ok}
+    assert failed == {"metric:fmean_oracle", "metric:emean_oracle"}
+
+
 class TestSMeasure:
     def test_perfect_binary_prediction(self):
         _, gt = random_pair(0)
@@ -406,6 +423,16 @@ class TestSMeasure:
         gt[:8] = 1.0
         pred = 1.0 - gt
         assert s_measure(pred, gt) >= 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("gt_kind", ["mixed", "all_fg", "all_bg"])
+    def test_non_finite_prediction_is_an_error(self, value, gt_kind):
+        pred, gt = random_pair(3)
+        gt = {"mixed": gt, "all_fg": np.ones_like(gt),
+              "all_bg": np.zeros_like(gt)}[gt_kind]
+        pred[1, 2] = value
+        with pytest.raises(MetricError, match="NaN or inf"):
+            s_measure(pred, gt)
 
     def test_hand_computed_constant_prediction(self):
         # fg mean 0.5/std 0 -> object fg = 1/(1.25); bg uses 1-p = 0.5 too.
