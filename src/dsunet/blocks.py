@@ -20,14 +20,13 @@ from .tensor import (
     _accumulate,
     _interp_taps,
     _make,
+    amax,
     bilinear_resize,
     concat,
-    crop2d,
     gelu,
+    mean,
     mul,
     narrow,
-    pad_reflect_br,
-    reduce,
     relu,
     sigmoid,
     softmax_over_branch,
@@ -127,7 +126,9 @@ class WaveletDownsample(Module):
     """Depthwise-separable convolution in Haar sub-band space, then resize.
 
     reflect-pad to even dims -> dwt -> depthwise 3x3 per sub-band -> idwt
-    -> crop -> pointwise 1x1 -> bilinear resize to the target extent.
+    -> crop -> pointwise 1x1 -> bilinear resize to the target extent.  The
+    pad (an odd last row or column mirrors the one before it) and the crop are
+    ``concat`` and ``narrow`` ops, so their backward passes are the adjoints.
     """
 
     def __init__(self, channels, init):
@@ -150,12 +151,16 @@ class WaveletDownsample(Module):
         return self
 
     def forward(self, x, target_h, target_w):
-        h, w = x.data.shape[1:]
-        y = pad_reflect_br(x, h % 2, w % 2)
+        h, w = x.data.shape[-2:]
+        y = x  # the padded map is y, so it is freed once the dwt has used it
+        if h % 2:
+            y = concat([y, narrow(y, np.s_[..., h - 2:h - 1, :])], axis=-2)
+        if w % 2:
+            y = concat([y, narrow(y, np.s_[..., w - 2:w - 1])], axis=-1)
         y = haar_dwt2(y)
         y = self.subband(y)
         y = haar_idwt2(y)
-        y = crop2d(y, h, w)
+        y = narrow(y, np.s_[..., :h, :w])
         y = self.pointwise(y)
         return bilinear_resize(y, target_h, target_w)
 
@@ -214,10 +219,9 @@ class CGA(Module):
         if x.data.shape != y.data.shape:
             raise ShapeError(f"CGA inputs differ: {x.data.shape} vs {y.data.shape}")
         u = x + y
-        gap = reduce(u, "mean", "spatial")  # C x 1 x 1
+        gap = mean(u, (-2, -1))  # C x 1 x 1
         wc = sigmoid(self.ch_up(relu(self.ch_down(gap))))
-        stats = concat([reduce(u, "mean", "channel"), reduce(u, "max", "channel")],
-                       axis=0)
+        stats = concat([mean(u, (0,)), amax(u, (0,))], axis=0)
         ws = sigmoid(self.spatial(stats))
         coarse = wc + ws  # broadcast to C x H x W
         w = sigmoid(self.px_pointwise(self.px_depthwise(u + coarse)))
@@ -248,8 +252,8 @@ class SFF(Module):
         _, h, w = low.data.shape
         high_up = bilinear_resize(high, h, w)
         weights = softmax_over_branch(self.gate(concat([low, high_up], axis=0)))
-        a_low = narrow(weights, 0, 0, 1)
-        a_high = narrow(weights, 0, 1, 1)
+        a_low = narrow(weights, np.s_[0:1])
+        a_high = narrow(weights, np.s_[1:2])
         fused = mul(low, a_low) + mul(high_up, a_high)
         out = self.out(fused)
         if return_weights:

@@ -175,10 +175,10 @@ def generate_sample(rng_seed, mode, profile):
         if not 0.05 <= frac <= 0.6:
             continue
 
+        mask_aux = _metaball_field(blobs, x_aux, y_aux) >= 1.0
         views = []
-        for xg, yg in ((x_main, y_main), (x_aux, y_aux)):
+        for xg, yg, mask in ((x_main, y_main, mask_main), (x_aux, y_aux, mask_aux)):
             bg = _background(bg_params, xg, yg)
-            mask = _metaball_field(blobs, xg, yg) >= 1.0
             if mode == "sod":
                 # solid color on the opposite side of the background mean
                 fg = np.empty(3)
@@ -194,11 +194,10 @@ def generate_sample(rng_seed, mode, profile):
                 dx = 0.04 * np.sin(2 * np.pi * (wfx * xg[None, :] + wfy * yg[:, None])
                                    + wphase)
                 xs = np.clip(xg[None, :] + dx + 0.08 * wshift, 0, 1 - 1e-9)
-                fg_tex = _background(bg_params, xg, yg)
-                # resample each row at warped x positions
+                # resample each row of the background at warped x positions
                 idx = np.minimum((xs * xg.size).astype(np.intp), xg.size - 1)
                 warped = np.take_along_axis(
-                    fg_tex, np.broadcast_to(idx[None], fg_tex.shape), axis=2)
+                    bg, np.broadcast_to(idx[None], bg.shape), axis=2)
                 img = np.where(mask[None], warped, bg)
             views.append(img.astype(np.float32))
 

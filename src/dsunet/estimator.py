@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class DSUNetEstimator:
 
     def __init__(self, profile="toy", variant="full", adapter_ratio=0.25,
                  reduced_channels=64, lr=1e-3, weight_decay=5e-4, batch=4,
-                 epochs=5, seed=42, mode="sod", n_train=16, n_val=4):
+                 epochs=5, seed=42, mode="sod", n_train=16):
         params = dict(locals())
         del params["self"]
         self.set_params(**params)
@@ -93,7 +93,7 @@ class DSUNetEstimator:
             for i, s in enumerate(samples):
                 _check_sample(s, run.model.resolved_profile, i)
         else:
-            samples, _ = load_or_generate(run)
+            samples, _ = load_or_generate(replace(run, n_val=0))
         model, _, epoch_rows = fit_samples(run, samples)
         self.model_ = model
         self.epoch_losses_ = [row[-1] for row in epoch_rows]

@@ -156,9 +156,8 @@ def fit_samples(run: RunConfig, samples, progress=None):
 
 
 def _write_run(run, model, optimizer, epoch_rows):
-    """Write ``train_log.csv`` and ``model.dsut`` into ``run.out_dir``;
-    returns (checkpoint path, log path)."""
-    os.makedirs(run.out_dir, exist_ok=True)
+    """Write ``train_log.csv`` and ``model.dsut`` into the existing
+    ``run.out_dir``; returns (checkpoint path, log path)."""
     log_path = os.path.join(run.out_dir, "train_log.csv")
     with open(log_path, "w", encoding="utf-8") as f:
         f.write(LOG_HEADER + "\n")
@@ -174,6 +173,8 @@ def train(run: RunConfig, progress=None):
     """Train on ``run.data_dir``'s samples, or on samples generated from
     ``run.seed``; writes a CSV log and a final checkpoint."""
     train_samples, val_samples = load_or_generate(run)
+    if train_samples:  # with none, fit_samples raises and no directory is made
+        os.makedirs(run.out_dir, exist_ok=True)
     model, optimizer, epoch_rows = fit_samples(run, train_samples, progress)
     ckpt_path, log_path = _write_run(run, model, optimizer, epoch_rows)
     return TrainResult(model, run, epoch_rows, ckpt_path, log_path,
@@ -255,6 +256,8 @@ def ablate(base_run: RunConfig):
         run = replace(base_run,
                       model=replace(base_run.model, variant=variant),
                       out_dir=os.path.join(base_run.out_dir, f"variant_{variant}"))
+        if train_samples:  # made before training, as in train
+            os.makedirs(run.out_dir, exist_ok=True)
         model, optimizer, epoch_rows = fit_samples(run, train_samples)
         _write_run(run, model, optimizer, epoch_rows)
         pairs = []

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_mask
+
 EPS = 1e-8
 
 # 255 uniform binarization thresholds spanning (0, 1)
@@ -244,7 +246,6 @@ def compute_report(pairs, beta2=0.3):
 
 def evaluate_dataset(pred_dir, gt_dir):
     """Pair .pgm files in two directories by stem and evaluate every pair."""
-    from .data import read_mask  # at call time, so a wrapper set on data is called
 
     def stems(d):
         return {os.path.splitext(f)[0]: os.path.join(d, f)

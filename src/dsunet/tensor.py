@@ -2,10 +2,13 @@
 
 The network graph is static, so there is no general autograd: every
 operation builds its output tensor with a closure that knows how to push
-gradients to its parents.  Axis 0 is every op's channel axis: maps are
-C x H x W, batches C x N x H x W, and ``linear`` mixes axis 0 per position
-(a 1 x 1 convolution).  Row-major float32; reductions and the finite-difference
-oracle accumulate in float64.
+gradients to its parents.  The ops: elementwise ``add``, ``mul``, ``relu``,
+``sigmoid`` and ``gelu``; ``concat`` and the slicing ``narrow``; ``linear``,
+``conv2d`` and ``bilinear_resize``; ``mean`` and ``amax`` over given axes; and
+``softmax_over_branch``.  Axis 0 is every op's channel axis and the last two
+are its spatial axes: maps are C x H x W, batches C x N x H x W, and
+``linear`` mixes axis 0 per position (a 1 x 1 convolution).  Row-major
+float32; ``mean`` and the finite-difference oracle accumulate in float64.
 
 Every op keeps the dtype its operands share: float32 in training and inference,
 float64 in the gradient-check mode (see :func:`cast_all`).  A constant mixed
@@ -259,62 +262,22 @@ def gelu(x):
 
 def concat(tensors, axis=0):
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+        for t, gt in zip(tensors, np.split(g, splits, axis=axis)):
+            _accumulate(t, gt)
 
     return _make(out_data, tuple(tensors), backward)
 
 
-def narrow(x, axis, start, length):
-    """Contiguous slice along one axis."""
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = x.data[idx].copy()
+def narrow(x, index):
+    """The window ``x.data[index]`` of a basic index (slices and ``...``)."""
+    out_data = x.data[index].copy()
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[idx] = g
-        _accumulate(x, gx)
-
-    return _make(out_data, (x,), backward)
-
-
-def pad_reflect_br(x, pad_h, pad_w):
-    """Reflect-pad a C x H x W map at the bottom/right by 0 or 1 pixels."""
-    if pad_h == 0 and pad_w == 0:
-        return x
-    c, h, w = x.data.shape
-    if (pad_h and h < 2) or (pad_w and w < 2):
-        raise ShapeError("reflect padding needs spatial extent >= 2")
-    out_data = np.pad(x.data, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
-    src_r = np.concatenate([np.arange(h), [h - 2]] if pad_h else [np.arange(h)])
-    src_c = np.concatenate([np.arange(w), [w - 2]] if pad_w else [np.arange(w)])
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), src_r[:, None], src_c[None, :]), g)
-        _accumulate(x, gx)
-
-    return _make(out_data, (x,), backward)
-
-
-def crop2d(x, out_h, out_w):
-    """Keep the top-left out_h x out_w window of a C x H x W map."""
-    c, h, w = x.data.shape
-    if out_h == h and out_w == w:
-        return x
-    out_data = x.data[:, :out_h, :out_w].copy()
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :out_h, :out_w] = g
+        gx[index] = g
         _accumulate(x, gx)
 
     return _make(out_data, (x,), backward)
@@ -499,38 +462,27 @@ def bilinear_resize(x, out_h, out_w):
 
 # -- reductions -----------------------------------------------------------
 
-_REDUCE_AXES = {"channel": (0,), "spatial": (1, 2)}
+
+def mean(x, axes):
+    """Mean over the tuple ``axes``, kept with extent 1, summed in float64."""
+    count = math.prod(x.data.shape[a] for a in axes)
+    acc = x.data.sum(axis=axes, keepdims=True, dtype=np.float64) / count
+    out_data = acc.astype(x.dtype)
+
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g * (1.0 / count), x.data.shape).astype(x.dtype))
+
+    return _make(out_data, (x,), backward)
 
 
-def reduce(x, op, axis):
-    """Mean or max of a C x H x W map over its channel or spatial axes (keepdims)."""
-    if x.data.ndim != 3:
-        raise ShapeError("reduce expects a C x H x W tensor")
-    try:
-        axes = _REDUCE_AXES[axis]
-    except KeyError:
-        raise ConfigError(f"unknown reduce axis {axis!r}") from None
+def amax(x, axes):
+    """Max over the tuple ``axes``, kept with extent 1; ties share the gradient."""
+    out_data = x.data.max(axis=axes, keepdims=True)
 
-    if op == "mean":
-        count = 1
-        for a in axes:
-            count *= x.data.shape[a]
-        acc = x.data.sum(axis=axes, keepdims=True, dtype=np.float64) / count
-        out_data = acc.astype(x.dtype)
-
-        def backward(g):
-            _accumulate(x, np.broadcast_to(g * (1.0 / count), x.data.shape).astype(x.dtype))
-
-    elif op == "max":
-        out_data = x.data.max(axis=axes, keepdims=True)
-
-        def backward(g):
-            mask = (x.data == out_data).astype(x.dtype)
-            counts = mask.sum(axis=axes, keepdims=True)
-            _accumulate(x, mask / counts * g)
-
-    else:
-        raise ConfigError(f"unknown reduce op {op!r}")
+    def backward(g):
+        mask = (x.data == out_data).astype(x.dtype)
+        counts = mask.sum(axis=axes, keepdims=True)
+        _accumulate(x, mask / counts * g)
 
     return _make(out_data, (x,), backward)
 

@@ -134,14 +134,28 @@ class TestWaveletDownsample:
         out = wtd.forward(Tensor(rng.standard_normal((6, 10, 10)).astype(np.float32)), 5, 5)
         assert out.shape == (6, 5, 5)
 
+    @pytest.mark.parametrize("hw", [(7, 5), (7, 6), (6, 5)])
+    def test_odd_map_is_reflect_padded(self, hw):
+        # with random sub-band weights the output depends on the padded
+        # values, which an identity-initialised block would not show
+        rng = np.random.default_rng(3)
+        wtd = WaveletDownsample(2, init=seeded_init(rng))
+        x = rng.standard_normal((2,) + hw).astype(np.float32)
+        pad = ((0, 0), (0, hw[0] % 2), (0, hw[1] % 2))
+        y = haar_idwt2(wtd.subband(haar_dwt2(Tensor(np.pad(x, pad, mode="reflect")))))
+        y = wtd.pointwise(Tensor(y.data[:, :hw[0], :hw[1]]))
+        want = bilinear_resize(y, 4, 3).data
+        np.testing.assert_array_equal(wtd.forward(Tensor(x), 4, 3).data, want)
+
     def test_gradients(self):
         rng = np.random.default_rng(2)
         wtd = WaveletDownsample(2, init=seeded_init(rng))
         params = list(wtd.named_parameters().values())
-        x = Tensor(rng.standard_normal((2, 6, 6)))
-        cast_all([x] + params, np.float64)
-        err = grad_check(lambda: wtd.forward(x, 3, 3), [x] + params)
-        assert err < 1e-4
+        for hw in ((6, 6), (7, 5)):
+            x = Tensor(rng.standard_normal((2,) + hw))
+            cast_all([x] + params, np.float64)
+            err = grad_check(lambda: wtd.forward(x, 3, 3), [x] + params)
+            assert err < 1e-4
 
 
 class TestRFB:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dsunet.data
 from dsunet import DSUNetEstimator
 from dsunet.data import generate_sample, load_dataset, write_dataset
 from dsunet.harness import fit_samples, load_or_generate
@@ -13,7 +14,7 @@ def make_samples(n, seed_base=0):
 
 
 def fast_params():
-    return dict(epochs=1, n_train=4, n_val=2, batch=2, seed=1)
+    return dict(epochs=1, n_train=4, batch=2, seed=1)
 
 
 class TestParamPlumbing:
@@ -84,6 +85,18 @@ class TestFitPredict:
         got = est.model_.named_parameters()
         for name, p in ref.named_parameters().items():
             assert got[name].data.tobytes() == p.data.tobytes(), name
+
+    def test_fit_without_X_generates_only_its_training_samples(self, monkeypatch):
+        calls = []
+        real = dsunet.data.generate_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dsunet.data, "generate_sample", counting)
+        est = DSUNetEstimator(**fast_params()).fit()
+        assert len(calls) == est.n_train
 
     @pytest.mark.parametrize("with_X", [False, True])
     def test_fit_writes_no_file(self, with_X, monkeypatch):

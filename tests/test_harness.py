@@ -346,6 +346,18 @@ class TestTraining:
                 train(run)
         assert not out.exists()
 
+    @pytest.mark.parametrize("call", [train, ablate], ids=["train", "ablate"])
+    def test_uncreatable_out_dir_fails_before_training(self, call, tmp_path,
+                                                       monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(dsunet.harness, "_train_step", no_step)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(NotADirectoryError):
+            call(tiny_run(str(blocker / "run")))
+
     def test_training_from_dataset_dir(self, tmp_path):
         data = str(tmp_path / "data")
         assert cli_main(["gen-data", "--out", data, "--n", "6",

@@ -20,19 +20,18 @@ from dsunet.tensor import (
     _accumulate,
     _make,
     add,
+    amax,
     bilinear_resize,
     cast_all,
     concat,
     conv2d,
-    crop2d,
     gelu,
     grad_check,
     linear,
     logistic,
+    mean,
     mul,
     narrow,
-    pad_reflect_br,
-    reduce,
     relu,
     sigmoid,
     softmax_over_branch,
@@ -356,36 +355,44 @@ class TestBilinearResize:
         assert grad_check(lambda: bilinear_resize(x, 7, 3), [x]) < 1e-6
 
 
+class TestNarrow:
+    def test_window_and_gradient(self):
+        x = Tensor(np.random.default_rng(4).standard_normal((2, 3, 5, 4)))
+        window = np.s_[..., 1:4, :2]
+        np.testing.assert_array_equal(narrow(x, window).data, x.data[window])
+        assert grad_check(lambda: narrow(x, window), [x]) < 1e-6
+
+
 class TestReduce:
     def test_mean_of_ones(self):
-        out = reduce(Tensor(np.ones((2, 3, 3))), "mean", "spatial")
+        out = mean(Tensor(np.ones((2, 3, 3))), (-2, -1))
         np.testing.assert_array_equal(out.data, np.ones((2, 1, 1)))
 
     def test_max(self):
-        out = reduce(Tensor(np.array([[[-1.0]], [[2.0]]])), "max", "channel")
+        out = amax(Tensor(np.array([[[-1.0]], [[2.0]]])), (0,))
         assert out.data.reshape(()) == 2.0
 
     def test_channel_shapes(self):
         x = Tensor(np.random.default_rng(2).random((4, 3, 5)))
-        assert reduce(x, "mean", "channel").shape == (1, 3, 5)
-        assert reduce(x, "max", "channel").shape == (1, 3, 5)
-        assert reduce(x, "mean", "spatial").shape == (4, 1, 1)
+        assert mean(x, (0,)).shape == (1, 3, 5)
+        assert amax(x, (0,)).shape == (1, 3, 5)
+        assert mean(x, (-2, -1)).shape == (4, 1, 1)
+        batch = Tensor(np.random.default_rng(3).random((4, 2, 3, 5)))
+        assert mean(batch, (-2, -1)).shape == (4, 2, 1, 1)
+        assert amax(batch, (0,)).shape == (1, 2, 3, 5)
 
-    @pytest.mark.parametrize("op,axis,message", [
-        ("sum", "spatial", "unknown reduce op 'sum'"),
-        ("mean", "all", "unknown reduce axis 'all'"),
-    ], ids=["sum-op", "all-axis"])
-    def test_unsupported_op_or_axis_raises(self, op, axis, message):
-        with pytest.raises(ConfigError, match=message):
-            reduce(Tensor(np.ones((2, 3, 3))), op, axis)
+    def test_tied_maxima_share_the_gradient(self):
+        x = Tensor(np.array([[[1.0]], [[3.0]], [[3.0]]]), requires_grad=True)
+        amax(x, (0,)).backward()
+        np.testing.assert_array_equal(x.grad.reshape(-1), [0.0, 0.5, 0.5])
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
-        for op in ("mean", "max"):
-            for axis in ("channel", "spatial"):
+        for op in (mean, amax):
+            for axes in ((0,), (-2, -1), (1, 2)):
                 x = Tensor(rng.standard_normal((3, 4, 4)))
                 cast_all([x], np.float64)
-                assert grad_check(lambda: reduce(x, op, axis), [x]) < 1e-6
+                assert grad_check(lambda: op(x, axes), [x]) < 1e-6
 
 
 class TestSoftmaxOverBranch:
@@ -484,7 +491,8 @@ _GT_WEIGHTS = pixel_weight_map(_GT[0])
 _TOY = ModelConfig(profile="toy", seed=0)
 
 # (leaf shapes, op applied to the leaves); every public op of tensor.py and
-# losses.py, with each conv2d grouping and reduce branch taken once
+# losses.py, with each conv2d grouping taken once, and the windows blocks.py
+# takes with narrow: WaveletDownsample's reflect pad and crop
 _OP_CASES = {
     "add": ([(2, 3, 3), (1, 3, 1)], add),
     "mul": ([(2, 3, 3), (2, 3, 3)], mul),
@@ -492,9 +500,10 @@ _OP_CASES = {
     "sigmoid": ([(2, 3, 3)], sigmoid),
     "gelu": ([(2, 3, 3)], gelu),
     "concat": ([(2, 3, 3), (1, 3, 3)], lambda a, b: concat([a, b], axis=0)),
-    "narrow": ([(4, 3, 3)], lambda x: narrow(x, 0, 1, 2)),
-    "pad_reflect_br": ([(2, 3, 4)], lambda x: pad_reflect_br(x, 1, 1)),
-    "crop2d": ([(2, 4, 5)], lambda x: crop2d(x, 3, 3)),
+    "narrow": ([(4, 3, 3)], lambda x: narrow(x, np.s_[1:3])),
+    "pad_reflect_br": ([(2, 3, 4)], lambda x: concat(
+        [x, narrow(x, np.s_[..., 1:2, :])], axis=-2)),
+    "crop2d": ([(2, 1, 4, 5)], lambda x: narrow(x, np.s_[..., :3, :3])),
     "linear": ([(4, 2, 3), (4, 5), (5,)], linear),
     "conv2d-dense": ([(4, 1, 5, 5), (6, 4, 3, 3), (6,)],
                      lambda x, w, b: conv2d(x, w, b, ConvSpec(4, 6, (3, 3), padding=1))),
@@ -505,8 +514,8 @@ _OP_CASES = {
                        lambda x, w, b: conv2d(x, w, b, ConvSpec(
                            4, 6, (3, 3), stride=2, dilation=2, padding=2, groups=2))),
     "bilinear_resize": ([(2, 3, 4)], lambda x: bilinear_resize(x, 5, 7)),
-    "reduce-mean": ([(3, 4, 4)], lambda x: reduce(x, "mean", "spatial")),
-    "reduce-max": ([(3, 4, 4)], lambda x: reduce(x, "max", "channel")),
+    "reduce-mean": ([(3, 4, 4)], lambda x: mean(x, (-2, -1))),
+    "reduce-max": ([(3, 4, 4)], lambda x: amax(x, (0,))),
     "softmax_over_branch": ([(3, 4, 4)], softmax_over_branch),
     "weighted_bce": ([(1, 6, 6)], lambda z: weighted_bce(z, _GT, _GT_WEIGHTS)),
     "weighted_iou": ([(1, 6, 6)], lambda z: weighted_iou(z, _GT, _GT_WEIGHTS)),
