@@ -255,12 +255,13 @@ def read_image_planes(directory, sample_id):
     return np.stack(planes).astype(np.float32)
 
 
-def load_dataset(root):
-    """Read a dataset directory back into Samples (quantized by the PGM trip)."""
+def load_dataset(root, limit=None):
+    """Read a dataset directory back into Samples (quantized by the PGM trip):
+    the first ``limit`` manifest entries, or all of them when it is None."""
     with open(os.path.join(root, "manifest.txt"), "r", encoding="utf-8") as f:
         entries = [line.split() for line in f if line.strip()]
     samples = []
-    for sample_id, _seed in entries:
+    for sample_id, _seed in entries[:limit]:
         main = read_image_planes(os.path.join(root, "images-main"), sample_id)
         aux = read_image_planes(os.path.join(root, "images-aux"), sample_id)
         gt = read_mask(os.path.join(root, "gt", f"{sample_id}.pgm"),

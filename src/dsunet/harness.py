@@ -18,7 +18,7 @@ from .data import (
     read_image_planes,
     write_mask,
 )
-from .losses import total_loss
+from .losses import ROW, total_loss
 from .metrics import compute_report
 from .nn import placeholder_init
 from .optim import AdamW
@@ -76,14 +76,14 @@ def load_checkpoint(path):
 class TrainResult:
     model: DSUNet
     run: RunConfig
-    epoch_rows: list            # per-epoch mean loss breakdowns
+    epoch_rows: list            # per-epoch means of the loss rows (losses.ROW)
     checkpoint_path: str
     log_path: str
     train_samples: list
     val_samples: list
 
 
-LOG_HEADER = ("epoch,bce1,iou1,level1,bce2,iou2,level2,bce3,iou3,level3,total")
+LOG_HEADER = ",".join(("epoch",) + ROW)
 
 
 def load_or_generate(run):
@@ -91,9 +91,8 @@ def load_or_generate(run):
     ``run.data_dir``, or generated from ``run.seed`` (training) and
     ``run.seed + VAL_SEED_OFFSET`` (validation)."""
     if run.data_dir:
-        samples = load_dataset(run.data_dir)
-        n_train = min(run.n_train, len(samples))
-        return samples[:n_train], samples[n_train : n_train + run.n_val]
+        samples = load_dataset(run.data_dir, run.n_train + run.n_val)
+        return samples[: run.n_train], samples[run.n_train :]
     train, _ = generate_dataset(run.n_train, run.mode, run.model.profile, run.seed)
     val, _ = generate_dataset(run.n_val, run.mode, run.model.profile,
                               run.seed + VAL_SEED_OFFSET)
@@ -101,18 +100,19 @@ def load_or_generate(run):
 
 
 def _train_step(model, sample, scale, where):
-    """One sample's forward, loss, finiteness check and backward.
+    """One sample's forward, finiteness check, loss and backward.
 
-    Returns the loss breakdown.  The sample's graph is referenced only from
-    here, so it is freed when this returns, before the next forward builds
-    another.
+    Returns the loss row (``losses.ROW``).  Non-finite logits raise
+    TrainingDiverged before the loss reads them.  The sample's graph is
+    referenced only from here, so it is freed when this returns, before the
+    next forward builds another.
     """
     outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
-    loss, br = total_loss(outputs, sample.gt, model.config)
-    if not np.isfinite(br.total):
-        raise TrainingDiverged(f"non-finite loss at {where}")
+    if not all(np.isfinite(d.data).all() for d in outputs.levels()):
+        raise TrainingDiverged(f"non-finite logits at {where}")
+    loss, row = total_loss(outputs, sample.gt, model.config)
     loss.backward(np.asarray(scale, dtype=loss.dtype))
-    return br
+    return row
 
 
 def fit_samples(run: RunConfig, samples, progress=None):
@@ -134,19 +134,15 @@ def fit_samples(run: RunConfig, samples, progress=None):
     n = len(samples)
     for epoch in range(run.epochs):
         order = shuffle_rng.permutation(n)
-        sums = np.zeros(10)
+        sums = np.zeros(len(ROW))
         for start in range(0, n, run.batch):
             batch_idx = order[start : start + run.batch]
             optimizer.zero_grad()
             scale = 1.0 / len(batch_idx)
             for i in batch_idx:
                 sample = augment_flip(samples[i], augment_rng)
-                br = _train_step(model, sample, scale,
-                                 f"epoch {epoch + 1}, step {start // run.batch + 1}")
-                sums += np.array([br.bce[0], br.iou[0], br.levels[0],
-                                  br.bce[1], br.iou[1], br.levels[1],
-                                  br.bce[2], br.iou[2], br.levels[2],
-                                  br.total])
+                sums += _train_step(model, sample, scale,
+                                    f"epoch {epoch + 1}, step {start // run.batch + 1}")
             optimizer.step()
         means = sums / n
         epoch_rows.append(means)

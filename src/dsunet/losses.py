@@ -1,18 +1,21 @@
-"""Pixel-weighted BCE + IoU losses and the weighted multi-level total.
+"""The multi-level training loss, as one op.
 
-Each decoder output contributes L = L_bce + L_iou; the total is the
-weighted sum over the three outputs.  Pixel weights emphasize boundaries:
-w = 1 + 5 * |boxmean31(gt) - gt|.  Both terms use the weight map; set
-``pixel_weighted_loss = false`` for the uniform-weight variant.
+Each decoder output contributes L = L_bce + L_iou, F3Net's pixel-weighted
+BCE and soft IoU; the total is the level-weighted sum of the three.  Pixel
+weights emphasize boundaries: w = 1 + 5 * |boxmean31(gt) - gt|.  Both terms
+use the weight map; set ``pixel_weighted_loss = false`` for uniform weights.
+Besides the scalar, :func:`total_loss` returns the values as one row in the
+order of :data:`ROW`: per level its BCE, IoU and their sum, then the total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import ShapeError, _accumulate, _make, logistic
+
+ROW = tuple(f"{term}{k}" for k in (1, 2, 3)
+            for term in ("bce", "iou", "level")) + ("total",)
 
 
 def _box_mean(gt, kernel, pad):
@@ -35,95 +38,56 @@ def pixel_weight_map(gt):
     return w[None].astype(np.float32)
 
 
-def _check_pair(logits, gt, w):
-    if logits.data.shape != gt.shape or gt.shape != w.shape:
-        raise ShapeError(
-            f"loss shape mismatch: logits {logits.data.shape}, gt {gt.shape}, "
-            f"weights {w.shape}")
-
-
-def weighted_bce(logits, gt, w):
-    """Weighted binary cross-entropy on logits, numerically stable.
-
-    Sum(w * bce(sigmoid(z), g)) / Sum(w) with the logit-space form
-    max(z, 0) - z*g + log(1 + exp(-|z|)).
-    """
-    _check_pair(logits, gt, w)
-    z = logits.data.astype(np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("weighted_bce: non-finite logits")
-    g64 = np.asarray(gt, dtype=np.float64)
-    w64 = np.asarray(w, dtype=np.float64)
-    per_pixel = np.maximum(z, 0.0) - z * g64 + np.log1p(np.exp(-np.abs(z)))
-    wsum = w64.sum()
-    loss = (w64 * per_pixel).sum() / wsum
-
-    def backward(gout):
-        p = logistic(z)
-        dz = w64 * (p - g64) / wsum
-        _accumulate(logits, (float(gout) * dz).astype(logits.dtype))
-
-    return _make(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
-
-
-def weighted_iou(logits, gt, w):
-    """Weighted soft IoU loss with +1 smoothing.
-
-    p = sigmoid(z); loss = 1 - (inter + 1) / (union - inter + 1).
-    """
-    _check_pair(logits, gt, w)
-    z = logits.data.astype(np.float64)
-    g64 = np.asarray(gt, dtype=np.float64)
-    w64 = np.asarray(w, dtype=np.float64)
-    p = logistic(z)
-    inter = (w64 * p * g64).sum()
-    union = (w64 * (p + g64)).sum()
-    a = inter + 1.0
-    b = union - inter + 1.0
-    loss = 1.0 - a / b
-
-    def backward(gout):
-        # d/dp of 1 - a/b with da/dp = w*g, db/dp = w*(1-g)
-        dp = (a * w64 * (1.0 - g64) - b * w64 * g64) / (b * b)
-        dz = dp * p * (1.0 - p)
-        _accumulate(logits, (float(gout) * dz).astype(logits.dtype))
-
-    return _make(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
-
-
-@dataclass
-class LossBreakdown:
-    """Per-level (bce, iou, level) values and the weighted total."""
-
-    bce: tuple[float, float, float]
-    iou: tuple[float, float, float]
-    levels: tuple[float, float, float]
-    total: float
-
-
 def total_loss(outputs, gt, config):
     """Weighted multi-level loss over the three decoder outputs.
 
-    ``gt`` is the H x W ground-truth mask.  Returns the differentiable scalar
-    tensor and a float breakdown.
+    ``gt`` is the H x W ground-truth mask.  Per level, with z the logits in
+    float64, p = sigmoid(z) and g = gt:
+
+    - BCE = Sum(w * (max(z, 0) - z*g + log(1 + exp(-|z|)))) / Sum(w), the
+      numerically stable logit-space form;
+    - IoU = 1 - (inter + 1) / (union - inter + 1), with inter = Sum(w*p*g)
+      and union = Sum(w*(p + g)).
+
+    BCE and IoU are rounded to the logits' dtype, then summed, scaled by the
+    level weight and added to the running total in that dtype.  Returns the
+    differentiable scalar and the float64 row of values in :data:`ROW` order.
     """
     gt = np.asarray(gt, dtype=np.float32)
     if gt.ndim != 2:
         raise ShapeError(f"total_loss expects an H x W mask, got shape {gt.shape}")
-    gt2 = gt[None]
-    w = pixel_weight_map(gt) if config.pixel_weighted_loss else np.ones_like(gt2)
-    weights = config.loss_weights
-    bces, ious, levels = [], [], []
-    total = None
-    for lw, logits in zip(weights, outputs.levels()):
-        lb = weighted_bce(logits, gt2, w)
-        li = weighted_iou(logits, gt2, w)
-        level = lb + li
-        bces.append(float(lb.data))
-        ious.append(float(li.data))
-        levels.append(float(level.data))
-        term = level * lw
+    g = gt[None].astype(np.float64)
+    w = (pixel_weight_map(gt).astype(np.float64) if config.pixel_weighted_loss
+         else np.ones_like(g))
+    wsum = w.sum()
+    levels = outputs.levels()
+    dtype = levels[0].dtype.type
+    row, saved, total = [], [], None
+    for lw, logits in zip(config.loss_weights, levels):
+        if logits.shape != g.shape:
+            raise ShapeError(f"loss shape mismatch: logits {logits.shape}, "
+                             f"gt {g.shape}")
+        z = logits.data.astype(np.float64)
+        p = logistic(z)
+        per_pixel = np.maximum(z, 0.0) - z * g + np.log1p(np.exp(-np.abs(z)))
+        bce = (w * per_pixel).sum() / wsum
+        inter = (w * p * g).sum()
+        a = inter + 1.0
+        b = (w * (p + g)).sum() - inter + 1.0
+        bce, iou = dtype(bce), dtype(1.0 - a / b)
+        level = bce + iou
+        term = level * dtype(lw)
         total = term if total is None else total + term
-    breakdown = LossBreakdown(tuple(bces), tuple(ious), tuple(levels),
-                              float(total.data))
-    return total, breakdown
+        row += [bce, iou, level]
+        saved.append((p, a, b))
+
+    def backward(gout):
+        for lw, logits, (p, a, b) in zip(config.loss_weights, levels, saved):
+            scale = float(gout * dtype(lw))
+            _accumulate(logits, (scale * (w * (p - g) / wsum)).astype(logits.dtype))
+            # d/dp of 1 - a/b with da/dp = w*g, db/dp = w*(1-g)
+            dp = (a * w * (1.0 - g) - b * w * g) / (b * b)
+            _accumulate(logits, (scale * (dp * p * (1.0 - p))).astype(logits.dtype))
+
+    row.append(total)
+    return _make(np.asarray(total), tuple(levels), backward), np.array(row, dtype=np.float64)

@@ -200,9 +200,9 @@ def test_criterion_05_loss_algebra():
     x = Tensor(rng.standard_normal((1, 16, 16)).astype(np.float64))
     cfg = ModelConfig(profile="toy", seed=0)
     gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
-    total, br = total_loss(DecoderOutputs(x, x, x), gt, cfg)
-    assert br.levels[0] == br.levels[1] == br.levels[2]
-    c = np.float64(br.levels[0])
+    total, row = total_loss(DecoderOutputs(x, x, x), gt, cfg)
+    assert row[2] == row[5] == row[8]  # level1, level2, level3
+    c = np.float64(row[2])
     expected = c * np.float64(0.25) + c * np.float64(0.5) + c * np.float64(1.0)
     assert float(total.data) == float(expected)
     assert float(expected) == float(np.float64(1.75) * c)

@@ -15,12 +15,13 @@ from dsunet.config import ModelConfig, RunConfig, parse_config_file, render_conf
 from dsunet.container import MAGIC_CHECKPOINT, read_container, write_container
 from dsunet.data import generate_sample, read_pgm
 from dsunet.harness import (
-    LOG_HEADER,
+    TrainingDiverged,
     ablate,
     fit_samples,
     format_ablation_table,
     format_parameter_report,
     load_checkpoint,
+    load_or_generate,
     predict,
     predict_sample,
     save_checkpoint,
@@ -272,7 +273,7 @@ class TestTraining:
         res = train(run)
         assert os.path.exists(res.checkpoint_path)
         lines = open(res.log_path).read().strip().split("\n")
-        assert lines[0] == LOG_HEADER
+        assert lines[0] == "epoch,bce1,iou1,level1,bce2,iou2,level2,bce3,iou3,level3,total"
         assert len(lines) == 1 + run.epochs
         row = lines[1].split(",")
         assert len(row) == 11
@@ -309,9 +310,9 @@ class TestTraining:
         real_forward = DSUNet.forward
 
         def recording_total_loss(*args, **kwargs):
-            loss, br = real_total_loss(*args, **kwargs)
+            loss, row = real_total_loss(*args, **kwargs)
             losses.append(weakref.ref(loss))
-            return loss, br
+            return loss, row
 
         def checking_forward(self, *args, **kwargs):
             alive_at_forward.append([ref() is not None for ref in losses])
@@ -322,6 +323,17 @@ class TestTraining:
         samples = [generate_sample(20 + i, "sod", "toy") for i in range(2)]
         fit_samples(tiny_run("unused"), samples)
         assert alive_at_forward == [[], [False]]
+
+    def test_non_finite_logits_raise_training_diverged(self, monkeypatch):
+        def nan_head_model(config):
+            model = DSUNet(config)
+            model.heads[0].proj.bias.data[:] = np.nan
+            return model
+
+        monkeypatch.setattr(dsunet.harness, "DSUNet", nan_head_model)
+        samples = [generate_sample(20 + i, "sod", "toy") for i in range(2)]
+        with pytest.raises(TrainingDiverged, match="epoch 1, step 1"):
+            fit_samples(tiny_run("unused"), samples)
 
     @pytest.mark.parametrize("route", ["n_train-0", "empty-manifest",
                                        "empty-list"])
@@ -366,6 +378,27 @@ class TestTraining:
         res = train(run)
         assert len(res.train_samples) == 4
         assert len(res.val_samples) == 2
+
+    def test_dataset_dir_reads_only_the_samples_returned(self, tmp_path,
+                                                          monkeypatch):
+        data = str(tmp_path / "data")
+        assert cli_main(["gen-data", "--out", data, "--n", "6",
+                         "--mode", "sod", "--seed", "3"]) == 0
+        reads = []
+        real = dsunet.data.read_pgm
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(dsunet.data, "read_pgm", counting)
+        # three planes of each image and the mask: 7 files a sample
+        for n_train, n_val, kept in ((2, 1, (2, 1)), (5, 3, (5, 1)), (8, 1, (6, 0))):
+            reads.clear()
+            train_samples, val_samples = load_or_generate(
+                tiny_run("unused", data_dir=data, n_train=n_train, n_val=n_val))
+            assert (len(train_samples), len(val_samples)) == kept
+            assert len(reads) == 7 * sum(kept)
 
 
 class TestAblation:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -6,12 +7,7 @@ import pytest
 
 from dsunet.blocks import DecoderOutputs
 from dsunet.config import ModelConfig
-from dsunet.losses import (
-    pixel_weight_map,
-    total_loss,
-    weighted_bce,
-    weighted_iou,
-)
+from dsunet.losses import ROW, pixel_weight_map, total_loss
 from dsunet.tensor import ShapeError, Tensor, cast_all, grad_check
 
 
@@ -63,123 +59,160 @@ class TestPixelWeightMap:
         assert w[40, 40] == pytest.approx(1.0, abs=1e-6)
 
 
+_BCE1, _IOU1 = ROW.index("bce1"), ROW.index("iou1")
+
+
+def _level1(z, gt, pixel_weighted=True):
+    """total_loss with level weights (1, 0, 0), logits ``z`` (H x W, float64)
+    at level 1 and zeros below.  Returns (total, row, level-1 logits)."""
+    cfg = ModelConfig(profile="toy", seed=0, loss_weights=(1.0, 0.0, 0.0),
+                      pixel_weighted_loss=pixel_weighted)
+    d1 = Tensor(np.asarray(z, dtype=np.float64)[None], requires_grad=True)
+    rest = [Tensor(np.zeros_like(d1.data)) for _ in range(2)]
+    total, row = total_loss(DecoderOutputs(d1, *rest), gt, cfg)
+    return total, row, d1
+
+
+def _weights(gt, pixel_weighted):
+    return (pixel_weight_map(gt)[0].astype(np.float64) if pixel_weighted
+            else np.ones_like(gt))
+
+
+def _central_diff(f, z, step=1e-6):
+    """Central finite differences of the scalar ``f(z)`` at each entry of z."""
+    out = np.zeros_like(z)
+    for idx in np.ndindex(z.shape):
+        zp, zm = z.copy(), z.copy()
+        zp[idx] += step
+        zm[idx] -= step
+        out[idx] = (f(zp) - f(zm)) / (2 * step)
+    return out
+
+
+def _random_case(seed, n=6):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n))
+    gt = np.zeros((n, n))
+    gt[1 : n - 2, 2 : n - 1] = 1.0
+    return z, gt
+
+
 class TestWeightedBCE:
+    """The bce1 column of total_loss's row, and its share of the gradient."""
+
     def test_zero_logits_give_log_two(self):
-        z = Tensor(np.zeros((1, 4, 4)))
-        gt = np.zeros((1, 4, 4))
-        w = np.ones((1, 4, 4))
-        loss = weighted_bce(z, gt, w)
-        assert float(loss.data) == pytest.approx(np.log(2.0), rel=1e-6)
+        _, row, _ = _level1(np.zeros((4, 4)), np.zeros((4, 4)))
+        assert row[_BCE1] == pytest.approx(np.log(2.0), rel=1e-6)
 
     def test_perfect_confident_prediction_near_zero(self):
-        gt = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        z = Tensor(np.where(gt > 0.5, 50.0, -50.0))
-        loss = weighted_bce(z, gt, np.ones_like(gt))
-        assert float(loss.data) < 1e-12
+        gt = np.array([[1.0, 0.0], [0.0, 1.0]])
+        _, row, _ = _level1(np.where(gt > 0.5, 50.0, -50.0), gt)
+        assert row[_BCE1] < 1e-12
 
     def test_stable_at_extreme_logits(self):
-        z = Tensor(np.array([[[500.0, -500.0]]]))
-        gt = np.array([[[0.0, 1.0]]])
-        loss = weighted_bce(z, gt, np.ones_like(gt))
-        assert np.isfinite(loss.data)
-        assert float(loss.data) == pytest.approx(500.0, rel=1e-9)
+        _, row, _ = _level1(np.array([[500.0, -500.0]]), np.array([[0.0, 1.0]]))
+        assert np.isfinite(row).all()
+        assert row[_BCE1] == pytest.approx(500.0, rel=1e-9)
 
     def test_backward_at_saturated_logits_without_a_warning(self):
-        z = Tensor(np.array([[[-1000.0, 1000.0]]]), requires_grad=True)
-        gt = np.array([[[1.0, 0.0]]])
-        loss = weighted_bce(z, gt, np.ones_like(gt))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss.backward()
-        # p = 0 and 1 exactly, so dz = (p - g) / 2
-        np.testing.assert_array_equal(z.grad, [[[-0.5, 0.5]]])
+            total, _, d1 = _level1(np.array([[-1000.0, 1000.0]]),
+                                   np.array([[1.0, 0.0]]), pixel_weighted=False)
+            total.backward()
+        # p = 0 and 1 exactly, so the BCE share is (p - g) / 2 and the IoU
+        # share p (1 - p) dIoU/dp is 0
+        np.testing.assert_array_equal(d1.grad, [[[-0.5, 0.5]]])
 
     def test_weighting_reweights_pixels(self):
-        gt = np.array([[[1.0, 0.0]]])
-        z = Tensor(np.array([[[0.0, 3.0]]]))  # second pixel is the bad one
-        uniform = float(weighted_bce(z, gt, np.ones_like(gt)).data)
-        w = np.array([[[1.0, 5.0]]])
-        skewed = float(weighted_bce(z, gt, w).data)
+        # confident and right everywhere but one boundary pixel: the weight
+        # map raises that pixel's share of the mean
+        gt = np.zeros((16, 16))
+        gt[4:12, 4:12] = 1.0
+        z = np.where(gt > 0.5, 6.0, -6.0)
+        z[4, 8] = -3.0
+        skewed = _level1(z, gt)[1][_BCE1]
+        uniform = _level1(z, gt, pixel_weighted=False)[1][_BCE1]
         assert skewed > uniform
 
     def test_matches_naive_formula(self):
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal((1, 6, 6))
-        gt = (rng.random((1, 6, 6)) > 0.5).astype(np.float64)
-        w = 1.0 + 4.0 * rng.random((1, 6, 6))
+        z, gt = _random_case(2)
         p = 1.0 / (1.0 + np.exp(-z))
-        naive = (w * -(gt * np.log(p) + (1 - gt) * np.log(1 - p))).sum() / w.sum()
-        got = float(weighted_bce(Tensor(z), gt, w).data)
-        assert got == pytest.approx(naive, rel=1e-10)
+        for pixel_weighted in (True, False):
+            w = _weights(gt, pixel_weighted)
+            naive = (w * -(gt * np.log(p) + (1 - gt) * np.log(1 - p))).sum() / w.sum()
+            got = _level1(z, gt, pixel_weighted)[1][_BCE1]
+            assert got == pytest.approx(naive, rel=1e-10)
 
     def test_gradient(self):
-        rng = np.random.default_rng(3)
-        z = Tensor(rng.standard_normal((1, 5, 5)))
-        gt = (rng.random((1, 5, 5)) > 0.5).astype(np.float64)
-        w = 1.0 + 4.0 * rng.random((1, 5, 5))
-        cast_all([z], np.float64)
-        assert grad_check(lambda: weighted_bce(z, gt, w), [z]) < 1e-6
+        # the derivative of the bce1 column is the closed form the backward uses
+        z, gt = _random_case(3, n=5)
+        w = _weights(gt, True)
+        p = 1.0 / (1.0 + np.exp(-z))
+        numeric = _central_diff(lambda v: _level1(v, gt)[1][_BCE1], z)
+        np.testing.assert_allclose(numeric, w * (p - gt) / w.sum(), atol=1e-8)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            weighted_bce(Tensor(np.zeros((1, 3, 3))), np.zeros((1, 4, 4)),
-                         np.ones((1, 4, 4)))
+        outputs = DecoderOutputs(*[Tensor(np.zeros((1, 3, 3))) for _ in range(3)])
+        with pytest.raises(ShapeError, match="logits"):
+            total_loss(outputs, np.zeros((4, 4)), ModelConfig(profile="toy", seed=0))
 
 
 class TestWeightedIoU:
+    """The iou1 column of total_loss's row, and its share of the gradient."""
+
     def test_perfect_prediction_near_zero(self):
-        gt = np.zeros((1, 8, 8))
-        gt[0, 2:6, 2:6] = 1.0
-        z = Tensor(np.where(gt > 0.5, 50.0, -50.0))
-        loss = weighted_iou(z, gt, np.ones_like(gt))
-        assert float(loss.data) < 1e-6
+        gt = np.zeros((8, 8))
+        gt[2:6, 2:6] = 1.0
+        _, row, _ = _level1(np.where(gt > 0.5, 50.0, -50.0), gt)
+        assert row[_IOU1] < 1e-6
 
     def test_total_miss_is_high(self):
-        gt = np.zeros((1, 8, 8))
-        gt[0, :4] = 1.0
-        z = Tensor(np.where(gt > 0.5, -50.0, 50.0))
-        loss = weighted_iou(z, gt, np.ones_like(gt))
-        assert float(loss.data) > 0.9
+        gt = np.zeros((8, 8))
+        gt[:4] = 1.0
+        _, row, _ = _level1(np.where(gt > 0.5, -50.0, 50.0), gt)
+        assert row[_IOU1] > 0.9
 
     def test_matches_naive_formula(self):
-        rng = np.random.default_rng(4)
-        z = rng.standard_normal((1, 6, 6))
-        gt = (rng.random((1, 6, 6)) > 0.5).astype(np.float64)
-        w = 1.0 + 4.0 * rng.random((1, 6, 6))
+        z, gt = _random_case(4)
         p = 1.0 / (1.0 + np.exp(-z))
-        inter = (w * p * gt).sum()
-        union = (w * (p + gt)).sum()
-        naive = 1.0 - (inter + 1.0) / (union - inter + 1.0)
-        got = float(weighted_iou(Tensor(z), gt, w).data)
-        assert got == pytest.approx(naive, rel=1e-10)
+        for pixel_weighted in (True, False):
+            w = _weights(gt, pixel_weighted)
+            inter = (w * p * gt).sum()
+            union = (w * (p + gt)).sum()
+            naive = 1.0 - (inter + 1.0) / (union - inter + 1.0)
+            got = _level1(z, gt, pixel_weighted)[1][_IOU1]
+            assert got == pytest.approx(naive, rel=1e-10)
 
     def test_saturated_logits_without_a_warning(self):
-        z = Tensor(np.array([[[-1000.0, 1000.0]]]), requires_grad=True)
-        gt = np.array([[[0.0, 1.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss = weighted_iou(z, gt, np.ones_like(gt))
-            loss.backward()
+            total, row, d1 = _level1(np.array([[-1000.0, 1000.0]]),
+                                     np.array([[0.0, 1.0]]), pixel_weighted=False)
+            total.backward()
         # p = 0 and 1 exactly: inter = 1, union = 1, loss = 1 - 2/2
-        assert float(loss.data) == 0.0
-        assert np.all(np.isfinite(z.grad))
+        assert row[_IOU1] == 0.0
+        assert np.all(np.isfinite(d1.grad))
 
     def test_in_unit_interval(self):
-        rng = np.random.default_rng(5)
         for seed in range(10):
             r = np.random.default_rng(seed)
-            z = Tensor(3.0 * r.standard_normal((1, 5, 5)))
-            gt = (r.random((1, 5, 5)) > 0.5).astype(np.float64)
-            v = float(weighted_iou(z, gt, np.ones_like(gt)).data)
-            assert 0.0 <= v < 1.0
+            gt = (r.random((5, 5)) > 0.5).astype(np.float64)
+            for pixel_weighted in (True, False):
+                v = _level1(3.0 * r.standard_normal((5, 5)), gt, pixel_weighted)[1][_IOU1]
+                assert 0.0 <= v < 1.0
 
     def test_gradient(self):
-        rng = np.random.default_rng(6)
-        z = Tensor(rng.standard_normal((1, 5, 5)))
-        gt = (rng.random((1, 5, 5)) > 0.5).astype(np.float64)
-        w = 1.0 + 4.0 * rng.random((1, 5, 5))
-        cast_all([z], np.float64)
-        assert grad_check(lambda: weighted_iou(z, gt, w), [z]) < 1e-6
+        # the level-1 gradient less the closed-form BCE share is the
+        # derivative of the iou1 column
+        z, gt = _random_case(6, n=5)
+        w = _weights(gt, True)
+        p = 1.0 / (1.0 + np.exp(-z))
+        total, _, d1 = _level1(z, gt)
+        total.backward()
+        numeric = _central_diff(lambda v: _level1(v, gt)[1][_IOU1], z)
+        np.testing.assert_allclose(d1.grad[0] - w * (p - gt) / w.sum(), numeric,
+                                   atol=1e-8)
 
 
 class TestTotalLoss:
@@ -197,29 +230,31 @@ class TestTotalLoss:
         outputs = DecoderOutputs(x, x, x)
         gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
         cfg = ModelConfig(profile="toy", seed=0)
-        total, br = total_loss(outputs, gt, cfg)
-        assert br.levels[0] == pytest.approx(br.levels[1], rel=1e-6)
-        assert float(total.data) == pytest.approx(1.75 * br.levels[0], rel=1e-5)
+        total, row = total_loss(outputs, gt, cfg)
+        levels = row[2:9:3]
+        assert levels[0] == pytest.approx(levels[1], rel=1e-6)
+        assert float(total.data) == pytest.approx(1.75 * levels[0], rel=1e-5)
 
     def test_breakdown_consistency(self):
         rng = np.random.default_rng(1)
         outputs = self._outputs(rng)
         gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
         cfg = ModelConfig(profile="toy", seed=0)
-        total, br = total_loss(outputs, gt, cfg)
-        for b, i, lv in zip(br.bce, br.iou, br.levels):
+        total, row = total_loss(outputs, gt, cfg)
+        assert row.dtype == np.float64 and row.shape == (len(ROW),)
+        for b, i, lv in zip(row[0:9:3], row[1:9:3], row[2:9:3]):
             assert lv == pytest.approx(b + i, rel=1e-6)
-        want = sum(lw * lv for lw, lv in zip(cfg.loss_weights, br.levels))
-        assert br.total == pytest.approx(want, rel=1e-5)
-        assert float(total.data) == pytest.approx(br.total, rel=1e-6)
+        want = sum(lw * lv for lw, lv in zip(cfg.loss_weights, row[2:9:3]))
+        assert row[-1] == pytest.approx(want, rel=1e-5)
+        assert float(total.data) == row[-1]
 
     def test_custom_level_weights(self):
         rng = np.random.default_rng(2)
         outputs = self._outputs(rng)
         gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
         cfg = ModelConfig(profile="toy", seed=0, loss_weights=(1.0, 0.0, 0.0))
-        total, br = total_loss(outputs, gt, cfg)
-        assert float(total.data) == pytest.approx(br.levels[0], rel=1e-6)
+        total, row = total_loss(outputs, gt, cfg)
+        assert float(total.data) == pytest.approx(row[ROW.index("level1")], rel=1e-6)
 
     def test_uniform_weight_switch(self):
         rng = np.random.default_rng(3)
@@ -230,7 +265,7 @@ class TestTotalLoss:
         uniform = total_loss(outputs, gt,
                              ModelConfig(profile="toy", seed=0,
                                          pixel_weighted_loss=False))[1]
-        assert weighted.total != pytest.approx(uniform.total, rel=1e-6)
+        assert weighted[-1] != pytest.approx(uniform[-1], rel=1e-6)
 
     def test_backward_reaches_all_levels(self):
         rng = np.random.default_rng(4)
@@ -259,3 +294,46 @@ class TestTotalLoss:
         ts = list(outputs.levels())
         cast_all(ts, np.float64)
         assert grad_check(lambda: total_loss(outputs, gt, cfg)[0], ts) < 1e-6
+
+    def test_row_order(self):
+        assert ROW == ("bce1", "iou1", "level1", "bce2", "iou2", "level2",
+                       "bce3", "iou3", "level3", "total")
+
+    # SHA-256 of the bytes of the total, the row and the three logit
+    # gradients (seeded with 0.25) for fixed float32 logits, with the boundary
+    # weights and the default level weights, and with uniform weights and
+    # other level weights.  A changed formula, rounding step or summation
+    # order changes a digest.
+    PINNED_DIGESTS = {
+        "pixel-weighted": (
+            "87a1e046e36efceddd1ba2791b3229848d00976e7391c198849e1c0f0d6f8c38",
+            "9d7b22163ccb4337cb7720eec6228bb1b11c0c45ddb31fe690e9b70b2a10d331",
+            "d97f5599ed6420a5de562b9cbac1bc720702ec6b4e76dda4a80a108c7df89a84",
+            "5bac6550b95ed23d7e59d84ec42710fdaddc5679f1abc2a51c497016da3d5ef1",
+            "5029cbb2e393faffc27416aea4e72ede0eb9aa307646d61f5b377c788120364e",
+        ),
+        "uniform": (
+            "9749acaa18690db4cf54ddd0c62c57c6bd71f46d2aa1aa57703ca48f14d983b7",
+            "d664c31d227e9bb9bb29210a914f0ee80ae45413b6323aab7fc101e4956edd98",
+            "5fdabf7b409840448ebba141c63b9b1cb31f2ce206915dc0adbbe57deb14dcaf",
+            "8527f209905cb2b00e310524ebae06fb885a71eab2761082b85cf74806901139",
+            "98df214bc0666bd47e680d256d537a4e4c5120efe03a642699acfa1d3ec5f04b",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", ["pixel-weighted", "uniform"])
+    def test_matches_pinned_digests(self, case):
+        rng = np.random.default_rng(17)
+        logits = [Tensor(3.0 * rng.standard_normal((1, 20, 20)).astype(np.float32),
+                         requires_grad=True) for _ in range(3)]
+        gt = np.zeros((20, 20), dtype=np.float32)
+        gt[4:13, 6:17] = 1.0
+        cfg = (ModelConfig(profile="toy", seed=0) if case == "pixel-weighted" else
+               ModelConfig(profile="toy", seed=0, loss_weights=(0.3, 0.7, 1.1),
+                           pixel_weighted_loss=False))
+        total, row = total_loss(DecoderOutputs(*logits), gt, cfg)
+        total.backward(np.asarray(0.25, dtype=np.float32))
+        arrays = [total.data, row] + [t.grad for t in logits]
+        assert [a.dtype for a in arrays] == [np.float32, np.float64] + [np.float32] * 3
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+        assert got == self.PINNED_DIGESTS[case]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dsunet import tensor
 from dsunet.blocks import DecoderOutputs
 from dsunet.config import ModelConfig
-from dsunet.losses import pixel_weight_map, total_loss, weighted_bce, weighted_iou
+from dsunet.losses import total_loss
 from dsunet.tensor import (
     ConfigError,
     ConvSpec,
@@ -487,7 +487,6 @@ class TestDeterminism:
 
 
 _GT = (np.random.default_rng(11).random((1, 6, 6)) > 0.5).astype(np.float32)
-_GT_WEIGHTS = pixel_weight_map(_GT[0])
 _TOY = ModelConfig(profile="toy", seed=0)
 
 # (leaf shapes, op applied to the leaves); every public op of tensor.py and
@@ -517,8 +516,6 @@ _OP_CASES = {
     "reduce-mean": ([(3, 4, 4)], lambda x: mean(x, (-2, -1))),
     "reduce-max": ([(3, 4, 4)], lambda x: amax(x, (0,))),
     "softmax_over_branch": ([(3, 4, 4)], softmax_over_branch),
-    "weighted_bce": ([(1, 6, 6)], lambda z: weighted_bce(z, _GT, _GT_WEIGHTS)),
-    "weighted_iou": ([(1, 6, 6)], lambda z: weighted_iou(z, _GT, _GT_WEIGHTS)),
     "total_loss": ([(1, 6, 6)] * 3,
                    lambda *ds: total_loss(DecoderOutputs(*ds), _GT[0], _TOY)[0]),
 }
