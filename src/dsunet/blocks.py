@@ -336,14 +336,18 @@ class DSUNet(Module):
     # -- forward ---------------------------------------------------------
 
     def encode(self, image_main, image_aux):
+        self.profile.check({"image_main": image_main, "image_aux": image_aux})
         s1, s2, s3, s4 = self.hiera(image_main)
         v, taps = self.vit(image_aux)
         return FeaturePyramid(s1, s2, s3, s4, v, taps)
 
-    def forward_pyramid(self, pyramid: FeaturePyramid, out_h=None, out_w=None):
-        self._check_pyramid(pyramid)
-        out_h = out_h or self.profile.main_size
-        out_w = out_w or self.profile.main_size
+    def forward_pyramid(self, pyramid: FeaturePyramid):
+        inputs = dict(zip(("s1", "s2", "s3", "s4", "v"), pyramid.levels() + [pyramid.v]))
+        if self.config.variant == "B":
+            taps = pyramid.v_taps or []
+            inputs.update((f"v_tap{i + 1}", taps[i] if i < len(taps) else None)
+                          for i, _, _ in self.fusions)
+        self.profile.check(inputs)
         adapted = [ad(s) for ad, s in zip(self.adapters, pyramid.levels())]
 
         fused = list(adapted)
@@ -356,34 +360,14 @@ class DSUNet(Module):
         u3 = self.sffs[0](x3, x4)
         u2 = self.sffs[1](x2, u3)
         u1 = self.sffs[2](x1, u2)
-        d1 = self.heads[0](u3, out_h, out_w)
-        d2 = self.heads[1](u2, out_h, out_w)
-        d3 = self.heads[2](u1, out_h, out_w)
+        size = self.profile.main_size
+        d1 = self.heads[0](u3, size, size)
+        d2 = self.heads[1](u2, size, size)
+        d3 = self.heads[2](u1, size, size)
         return DecoderOutputs(d1, d2, d3)
 
     def forward(self, image_main, image_aux):
-        pyramid = self.encode(image_main, image_aux)
-        return self.forward_pyramid(pyramid, image_main.data.shape[1],
-                                    image_main.data.shape[2])
-
-    def _check_pyramid(self, pyramid):
-        expected = self.profile.pyramid_shapes()
-        for name, t in zip(("s1", "s2", "s3", "s4", "v"),
-                           pyramid.levels() + [pyramid.v]):
-            if t.data.shape != expected[name]:
-                raise ShapeError(
-                    f"pyramid level {name!r} has shape {t.data.shape}, "
-                    f"profile {self.profile.name!r} expects {expected[name]}")
-        if self.config.variant == "B":
-            taps = pyramid.v_taps or []
-            for i, _, _ in self.fusions:
-                name = f"v_tap{i + 1}"
-                if i >= len(taps):
-                    raise ShapeError(f"variant B needs ViT tap {name!r}, "
-                                     f"got {len(taps)} taps")
-                if taps[i].data.shape != expected["v"]:
-                    raise ShapeError(f"ViT tap {name!r} has shape {taps[i].data.shape}, "
-                                     f"variant B expects the shape of 'v', {expected['v']}")
+        return self.forward_pyramid(self.encode(image_main, image_aux))
 
     # -- parameter accounting ---------------------------------------------
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
-from .tensor import ConfigError
+from .tensor import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -19,21 +20,33 @@ class Profile:
     patch: int = 14
 
     @property
-    def hiera_sizes(self):
-        return tuple(self.main_size // s for s in (4, 8, 16, 32))
-
-    @property
     def vit_grid(self):
         return self.aux_size // self.patch
 
     def pyramid_shapes(self):
-        """Expected shapes of S1..S4 and V."""
-        shapes = {
-            f"s{i + 1}": (c, s, s)
-            for i, (c, s) in enumerate(zip(self.hiera_channels, self.hiera_sizes))
-        }
+        """Expected shapes of S1..S4 (strides 4, 8, 16, 32) and V."""
+        shapes = {}
+        for i, c in enumerate(self.hiera_channels):
+            s = self.main_size // 2 ** (i + 2)
+            shapes[f"s{i + 1}"] = (c, s, s)
         shapes["v"] = (self.vit_channels, self.vit_grid, self.vit_grid)
         return shapes
+
+    def check(self, arrays, where=""):
+        """ShapeError, prefixed by ``where``, unless each named array or Tensor
+        (None: missing) has the shape this profile accepts under its name:
+        image_main 3 x main_size², image_aux 3 x aux_size², the mask gt
+        main_size², s1..s4 and v as :meth:`pyramid_shapes`, each v_tapN v's."""
+        accepted = {"image_main": (3, self.main_size, self.main_size),
+                    "image_aux": (3, self.aux_size, self.aux_size),
+                    "gt": (self.main_size, self.main_size),
+                    **self.pyramid_shapes()}
+        for name, array in arrays.items():
+            expected = accepted["v" if name.startswith("v_tap") else name]
+            if array is None or array.shape != expected:
+                got = "missing" if array is None else f"shape {array.shape}"
+                raise ShapeError(f"{where}{name} {got}: {name!r} of profile "
+                                 f"{self.name!r} is {expected}")
 
 
 PROFILES = {
@@ -42,6 +55,14 @@ PROFILES = {
 }
 
 VARIANTS = ("A", "B", "C", "full")
+
+
+def _require_at_least(key, value, low, strict=False):
+    """ConfigError naming ``key`` unless ``value`` is finite and >= ``low``
+    (> ``low`` when strict); NaN fails every comparison."""
+    if not (low < value < math.inf if strict else low <= value < math.inf):
+        raise ConfigError(f"{key} must be {'>' if strict else '>='} {low} and "
+                          f"finite, got {value}")
 
 
 @dataclass
@@ -62,12 +83,12 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.adapter_ratio <= 1.0:
             raise ConfigError("adapter_ratio must be in (0, 1]")
-        if self.reduced_channels < 1:
-            raise ConfigError("reduced_channels must be >= 1")
+        _require_at_least("reduced_channels", self.reduced_channels, 1)
         if len(self.loss_weights) != 3:
             raise ConfigError("loss_weights must hold one weight per decoder level (3)")
-        if any(w < 0 for w in self.loss_weights):
-            raise ConfigError("loss_weights must be non-negative")
+        for key, w in zip(_RENAMED_MODEL_KEYS["loss_weights"], self.loss_weights):
+            _require_at_least(key, w, 0)
+        _require_at_least("beta2_f", self.beta2_f, 0)
 
     @property
     def resolved_profile(self):
@@ -89,17 +110,10 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        for name in ("n_train", "n_val"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        _require_at_least("lr", self.lr, 0, strict=True)
+        for name, low in (("weight_decay", 0), ("batch", 1), ("epochs", 1),
+                          ("n_train", 0), ("n_val", 0)):
+            _require_at_least(name, getattr(self, name), low)
         if self.mode not in ("sod", "cod"):
             raise ConfigError(f"unknown data mode {self.mode!r}")
 

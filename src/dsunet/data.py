@@ -258,10 +258,16 @@ def read_image_planes(directory, sample_id):
 def load_dataset(root, limit=None):
     """Read a dataset directory back into Samples (quantized by the PGM trip):
     the first ``limit`` manifest entries, or all of them when it is None."""
-    with open(os.path.join(root, "manifest.txt"), "r", encoding="utf-8") as f:
-        entries = [line.split() for line in f if line.strip()]
+    manifest = os.path.join(root, "manifest.txt")
+    with open(manifest, "r", encoding="utf-8") as f:
+        entries = [(lineno, line.split()) for lineno, line in enumerate(f, start=1)
+                   if line.strip()]
+    for lineno, fields in entries:
+        if len(fields) != 2:
+            raise ValueError(f"{manifest} line {lineno}: expected 'id seed', "
+                             f"got {' '.join(fields)!r}")
     samples = []
-    for sample_id, _seed in entries[:limit]:
+    for _, (sample_id, _seed) in entries[:limit]:
         main = read_image_planes(os.path.join(root, "images-main"), sample_id)
         aux = read_image_planes(os.path.join(root, "images-aux"), sample_id)
         gt = read_mask(os.path.join(root, "gt", f"{sample_id}.pgm"),

@@ -50,9 +50,6 @@ class ToyHiera(Module):
         self.freeze()
 
     def forward(self, image):
-        c, h, w = image.shape
-        if c != 3 or h % 32 or w % 32:
-            raise ShapeError(f"pyramid encoder needs 3 x H x W with H, W divisible by 32, got {image.shape}")
         x = relu(self.stem(image))
         outs = []
         for down, mix in self.stages:
@@ -74,7 +71,6 @@ class ToyViT(Module):
     def __init__(self, profile: Profile, init):
         super().__init__()
         c = profile.vit_channels
-        self.patch = profile.patch
         self.embed = self.add("embed", Conv2d(3, c, profile.patch, init,
                                               stride=profile.patch))
         self.blocks = []
@@ -86,11 +82,6 @@ class ToyViT(Module):
         self.freeze()
 
     def forward(self, image):
-        c, h, w = image.shape
-        if c != 3 or h % self.patch or w % self.patch:
-            raise ShapeError(
-                f"token encoder needs 3 x H x W with H, W divisible by {self.patch}, got {image.shape}"
-            )
         x = self.embed(image)
         taps = []
         for dw, pw in self.blocks:
@@ -109,25 +100,19 @@ def write_feature_file(path, named_tensors):
 
 
 def load_pyramid(path, profile: Profile):
-    """Read a DSUF file and validate its shapes against the active profile;
-    ViT taps, when present, are read by number as v_tap1 .. v_tapN."""
+    """Read a DSUF file and check every shape, taps included, against the
+    profile; ViT taps, when present, are read by number as v_tap1 .. v_tapN."""
     arrays = read_container(path, magic=MAGIC_FEATURES)
-    expected = profile.pyramid_shapes()
-    tensors = {}
-    for name, shape in expected.items():
+    names = list(profile.pyramid_shapes())
+    for name in names:
         if name not in arrays:
             raise ShapeError(f"feature file is missing {name!r}")
-        if arrays[name].shape != shape:
-            raise ShapeError(
-                f"feature {name!r} has shape {arrays[name].shape}, "
-                f"profile {profile.name!r} expects {shape}"
-            )
-        tensors[name] = Tensor(arrays[name])
     n_taps = sum(name.startswith("v_tap") for name in arrays)
     tap_names = [f"v_tap{i}" for i in range(1, n_taps + 1)]
     missing = [name for name in tap_names if name not in arrays]
     if missing:
         raise ShapeError(f"feature file has {n_taps} ViT taps but no {missing[0]!r}")
+    profile.check({name: arrays[name] for name in names + tap_names},
+                  f"feature file {path}: ")
     taps = [Tensor(arrays[name]) for name in tap_names] or None
-    return FeaturePyramid(tensors["s1"], tensors["s2"], tensors["s3"], tensors["s4"],
-                          tensors["v"], taps)
+    return FeaturePyramid(*[Tensor(arrays[name]) for name in names], taps)

@@ -12,17 +12,6 @@ from .data import Sample
 from .harness import fit_samples, load_or_generate, predict_sample
 
 
-def _check_sample(sample, profile, index):
-    exp_main = (3, profile.main_size, profile.main_size)
-    exp_aux = (3, profile.aux_size, profile.aux_size)
-    if sample.image_main.shape != exp_main:
-        raise ValueError(f"sample {index}: image_main shape "
-                         f"{sample.image_main.shape}, expected {exp_main}")
-    if sample.image_aux.shape != exp_aux:
-        raise ValueError(f"sample {index}: image_aux shape "
-                         f"{sample.image_aux.shape}, expected {exp_aux}")
-
-
 def _as_samples(X, y=None):
     samples = []
     for i, item in enumerate(X):
@@ -90,8 +79,6 @@ class DSUNetEstimator:
                 raise ValueError(f"fit got {len(X)} training inputs but "
                                  f"{n_masks} masks in y")
             samples = _as_samples(X, y)
-            for i, s in enumerate(samples):
-                _check_sample(s, run.model.resolved_profile, i)
         else:
             samples, _ = load_or_generate(replace(run, n_val=0))
         model, _, epoch_rows = fit_samples(run, samples)
@@ -102,10 +89,7 @@ class DSUNetEstimator:
     def predict(self, X):
         if not hasattr(self, "model_"):
             raise RuntimeError("estimator is not fitted; call fit first")
-        samples = _as_samples(X)
-        for i, s in enumerate(samples):
-            _check_sample(s, self.model_.profile, i)
-        return [predict_sample(self.model_, s) for s in samples]
+        return [predict_sample(self.model_, s) for s in _as_samples(X)]
 
     def score(self, X, y):
         """Mean (1 - MAE) over the given pairs; higher is better."""

@@ -119,11 +119,16 @@ def fit_samples(run: RunConfig, samples, progress=None):
     """Deterministic in-memory training loop over the given samples.
 
     Returns (model, optimizer, epoch_rows) and writes nothing.  An empty
-    sample list is a ValueError, raised before the model is built.
+    sample list (ValueError) or a sample whose images or mask the profile
+    rejects (ShapeError) raises before the model is built.
     """
     if not samples:
         raise ValueError("no training samples: n_train is 0, the data_dir "
                          "manifest lists none, or the given sample list is empty")
+    for i, s in enumerate(samples):
+        run.model.resolved_profile.check(
+            {"image_main": s.image_main, "image_aux": s.image_aux, "gt": s.gt},
+            f"sample {i} ({s.id}): ")
     model = DSUNet(run.model)
     optimizer = AdamW(model.trainable_parameters(), lr=run.lr,
                       weight_decay=run.weight_decay)
@@ -209,8 +214,8 @@ def predict(ckpt_path, images_dir, out_dir):
     model, run, _ = load_checkpoint(ckpt_path)
     main_dir = os.path.join(images_dir, "images-main")
     aux_dir = os.path.join(images_dir, "images-aux")
-    ids = sorted({f.split(".")[0] for f in os.listdir(main_dir)
-                  if f.endswith(".pgm")})
+    ids = sorted(f[: -len(".r.pgm")] for f in os.listdir(main_dir)
+                 if f.endswith(".r.pgm"))
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for sample_id in ids:

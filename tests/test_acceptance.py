@@ -99,7 +99,7 @@ def test_criterion_01_shape_conformance():
 
     start = time.monotonic()
     pyramid = model.encode(main, aux)
-    outputs = model.forward_pyramid(pyramid, 352, 352)
+    outputs = model.forward_pyramid(pyramid)
     elapsed = time.monotonic() - start
 
     assert pyramid.s1.shape == (144, 88, 88)

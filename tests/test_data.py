@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ class TestDatasetLayout:
                                                f"{sid}.{suffix}.pgm"))
         planes = read_image_planes(os.path.join(root, "images-main"), sid)
         assert planes.shape == samples[0].image_main.shape
+
+    @pytest.mark.parametrize("line", ["sod_000010", "sod_000010 10 extra"])
+    def test_malformed_manifest_line_names_file_and_line(self, tmp_path, line):
+        samples, seeds = generate_dataset(1, "sod", "toy", seed_base=10)
+        root = str(tmp_path / "ds")
+        write_dataset(root, samples, seeds)
+        manifest = os.path.join(root, "manifest.txt")
+        with open(manifest, "w", encoding="utf-8") as f:
+            f.write(f"sod_000010 10\n\n{line}\n")  # the blank line is skipped
+        with pytest.raises(ValueError, match=re.escape(
+                f"{manifest} line 3: expected 'id seed', got {line!r}")):
+            load_dataset(root, limit=1)  # lines past the limit are checked too
 
     def test_generate_dataset_seeds_are_sequential(self):
         samples, seeds = generate_dataset(4, "sod", "toy", seed_base=100)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -21,7 +22,7 @@ from dsunet.encoders import (
     load_pyramid,
     write_feature_file,
 )
-from dsunet.nn import seeded_init
+from dsunet.nn import placeholder_init, seeded_init
 from dsunet.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -54,9 +55,12 @@ class TestToyHiera:
             assert out.shape == shape
 
     def test_rejects_indivisible_size(self):
-        enc = ToyHiera(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
-        with pytest.raises(ShapeError, match="divisible"):
-            enc(Tensor(np.zeros((3, 50, 50), dtype=np.float32)))
+        # the profile check in DSUNet.encode guards the encoder's input
+        model = DSUNet(ModelConfig(profile="toy"), init=placeholder_init)
+        aux = Tensor(np.zeros((3, 126, 126), dtype=np.float32))
+        with pytest.raises(ShapeError, match=re.escape(
+                "image_main shape (3, 50, 50): 'image_main' of profile 'toy' is (3, 96, 96)")):
+            model.encode(Tensor(np.zeros((3, 50, 50), dtype=np.float32)), aux)
 
     def test_parameters_frozen(self):
         enc = ToyHiera(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
@@ -76,9 +80,12 @@ class TestToyViT:
             assert t.shape == v.shape
 
     def test_rejects_non_patch_multiple(self):
-        enc = ToyViT(PROFILES["toy"], seeded_init(np.random.default_rng(0)))
-        with pytest.raises(ShapeError, match="divisible"):
-            enc(Tensor(np.zeros((3, 100, 100), dtype=np.float32)))
+        # the profile check in DSUNet.encode guards the encoder's input
+        model = DSUNet(ModelConfig(profile="toy"), init=placeholder_init)
+        main = Tensor(np.zeros((3, 96, 96), dtype=np.float32))
+        with pytest.raises(ShapeError, match=re.escape(
+                "image_aux shape (3, 100, 100): 'image_aux' of profile 'toy' is (3, 126, 126)")):
+            model.encode(main, Tensor(np.zeros((3, 100, 100), dtype=np.float32)))
 
 
 def joined_container_bytes(tensors, magic=MAGIC_FEATURES):
@@ -293,6 +300,18 @@ class TestFeatureIngestion:
         with pytest.raises(ShapeError, match="no 'v_tap2'"):
             load_pyramid(path, prof)
 
+    def test_misshapen_tap_raises(self, tmp_path):
+        prof = PROFILES["toy"]
+        arrays = self._pyramid_arrays(prof)
+        for i in (1, 2, 3):
+            arrays[f"v_tap{i}"] = np.zeros(arrays["v"].shape, dtype=np.float32)
+        arrays["v_tap2"] = arrays["v_tap2"][:, :4, :4]
+        path = str(tmp_path / "feat.dsuf")
+        write_feature_file(path, arrays)
+        with pytest.raises(ShapeError, match=re.escape(
+                "v_tap2 shape (128, 4, 4): 'v_tap2' of profile 'toy' is (128, 9, 9)")):
+            load_pyramid(path, prof)
+
 
 class TestConfigFormat:
     def test_defaults(self):
@@ -377,6 +396,14 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="loss_weights"):
             ModelConfig(loss_weights=(0.5, 1.0))
         RunConfig(weight_decay=0.0, n_val=0)   # the boundaries are valid
+
+    @pytest.mark.parametrize("line", [
+        "lr = nan", "lr = inf", "weight_decay = nan", "loss_w1 = nan",
+        "loss_w2 = inf", "beta2_f = -1", "beta2_f = nan"])
+    def test_non_finite_or_out_of_range_value_names_its_key(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config_text(line)
 
     def test_negative_n_train_rejected(self):
         with pytest.raises(ConfigError, match="n_train must be >= 0"):

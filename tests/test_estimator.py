@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,17 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="sample 0"):
             DSUNetEstimator(**fast_params()).fit(
                 [(bad_main, aux)], [np.zeros((64, 64), dtype=np.float32)])
+
+    def test_fit_rejects_a_misshapen_mask_before_training(self, monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr("dsunet.harness.DSUNet", no_model)
+        s = make_samples(1)[0]
+        with pytest.raises(ValueError, match=re.escape(
+                "sample 0 (x0000): gt shape (64, 64): 'gt' of profile 'toy' is (96, 96)")):
+            DSUNetEstimator(**fast_params()).fit(
+                [(s.image_main, s.image_aux)], [np.zeros((64, 64), dtype=np.float32)])
 
     def test_score_in_unit_interval(self):
         est = DSUNetEstimator(**fast_params()).fit()

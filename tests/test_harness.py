@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import dsunet.data
+import dsunet.encoders
 import dsunet.harness
 import dsunet.nn
 from dsunet.blocks import DSUNet
 from dsunet.cli import main as cli_main
 from dsunet.config import ModelConfig, RunConfig, parse_config_file, render_config
 from dsunet.container import MAGIC_CHECKPOINT, read_container, write_container
-from dsunet.data import generate_sample, read_pgm
+from dsunet.data import generate_sample, read_pgm, write_dataset
 from dsunet.harness import (
     TrainingDiverged,
     ablate,
@@ -370,6 +371,26 @@ class TestTraining:
         with pytest.raises(NotADirectoryError):
             call(tiny_run(str(blocker / "run")))
 
+    def test_other_profile_dataset_raises_before_any_encoder_call(
+            self, tmp_path, monkeypatch):
+        data = str(tmp_path / "data")
+        assert cli_main(["gen-data", "--out", data, "--n", "1",
+                         "--profile", "large"]) == 0
+        calls = []
+        real = dsunet.encoders.ToyHiera.forward
+
+        def counting(self, image):
+            calls.append(image.shape)
+            return real(self, image)
+
+        monkeypatch.setattr(dsunet.encoders.ToyHiera, "forward", counting)
+        run = tiny_run(str(tmp_path / "run"), data_dir=data, n_train=1, n_val=0)
+        with pytest.raises(ShapeError, match=re.escape(
+                "sample 0 (sod_000000): image_main shape (3, 352, 352): "
+                "'image_main' of profile 'toy' is (3, 96, 96)")):
+            train(run)
+        assert calls == []
+
     def test_training_from_dataset_dir(self, tmp_path):
         data = str(tmp_path / "data")
         assert cli_main(["gen-data", "--out", data, "--n", "6",
@@ -442,6 +463,16 @@ class TestPredictExport:
             payload = raw.split(b"255\n", 1)[1]
             want = np.rint(pred * 255.0).astype(np.uint8).tobytes()
             assert payload == want
+
+    def test_dotted_sample_id(self, tmp_path):
+        sample = replace(generate_sample(0, "sod", "toy"), id="img.01")
+        data = str(tmp_path / "data")
+        write_dataset(data, [sample], [0])
+        run = tiny_run(str(tmp_path / "run"))
+        ckpt = str(tmp_path / "m.dsut")
+        save_checkpoint(ckpt, DSUNet(run.model), run)
+        out = str(tmp_path / "pred")
+        assert predict(ckpt, data, out) == [os.path.join(out, "img.01.pgm")]
 
 
 class TestReportsAndTables:

@@ -513,8 +513,8 @@ _OP_CASES = {
                        lambda x, w, b: conv2d(x, w, b, ConvSpec(
                            4, 6, (3, 3), stride=2, dilation=2, padding=2, groups=2))),
     "bilinear_resize": ([(2, 3, 4)], lambda x: bilinear_resize(x, 5, 7)),
-    "reduce-mean": ([(3, 4, 4)], lambda x: mean(x, (-2, -1))),
-    "reduce-max": ([(3, 4, 4)], lambda x: amax(x, (0,))),
+    "mean": ([(3, 4, 4)], lambda x: mean(x, (-2, -1))),
+    "amax": ([(3, 4, 4)], lambda x: amax(x, (0,))),
     "softmax_over_branch": ([(3, 4, 4)], softmax_over_branch),
     "total_loss": ([(1, 6, 6)] * 3,
                    lambda *ds: total_loss(DecoderOutputs(*ds), _GT[0], _TOY)[0]),
