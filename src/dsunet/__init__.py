@@ -1,8 +1,7 @@
 """Dual-encoder U-shaped segmentation network, desk-scale reference build."""
 
-from .blocks import DecoderOutputs, DSUNet
+from .blocks import DSUNet
 from .config import PROFILES, ModelConfig, RunConfig
-from .encoders import FeaturePyramid
 from .estimator import DSUNetEstimator
 from .tensor import ConvSpec, Tensor, grad_check
 
@@ -10,8 +9,6 @@ __all__ = [
     "ConvSpec",
     "DSUNet",
     "DSUNetEstimator",
-    "DecoderOutputs",
-    "FeaturePyramid",
     "ModelConfig",
     "PROFILES",
     "RunConfig",

@@ -7,12 +7,10 @@ fusion (SFF) decoding, point-wise heads, and the four fusion variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ModelConfig
-from .encoders import FeaturePyramid, ToyHiera, ToyViT
+from .encoders import ToyHiera, ToyViT
 from .nn import Conv2d, Linear, Module, seeded_init
 from .tensor import (
     ShapeError,
@@ -272,23 +270,18 @@ class DecodeHead(Module):
         return bilinear_resize(self.proj(x), out_h, out_w)
 
 
-# pyramid levels (0 = S1 .. 3 = S4) whose adapted map is fused with token
-# features through a WTD + CGA pair; variant B fuses ViT tap i into level i,
-# the others fuse the final token map V.  A single fused level registers its
+# the token map each variant fuses, by name, into a pyramid level (0 = S1 ..
+# 3 = S4) through a WTD + CGA pair: variant B fuses ViT tap i + 1 into level
+# i, C and full the final token map v.  A single fused level registers its
 # pair as wtd/cga, several as wtd1/cga1 .. wtd4/cga4 (checkpoint names).
-FUSED_LEVELS = {"A": (), "B": (0, 1, 2, 3), "C": (0, 1, 2, 3), "full": (3,)}
+FUSED_LEVELS = {
+    "A": {},
+    "B": {i: f"v_tap{i + 1}" for i in range(4)},
+    "C": {i: "v" for i in range(4)},
+    "full": {3: "v"},
+}
 
-
-@dataclass
-class DecoderOutputs:
-    """Logit maps 1 x H x W, ordered coarsest decoder stage to final stage."""
-
-    d1: Tensor
-    d2: Tensor
-    d3: Tensor
-
-    def levels(self):
-        return [self.d1, self.d2, self.d3]
+LEVELS = ("s1", "s2", "s3", "s4")
 
 
 class DSUNet(Module):
@@ -320,11 +313,11 @@ class DSUNet(Module):
 
         levels = FUSED_LEVELS[config.variant]
         self.fusions = []
-        for i in levels:
+        for i, tokens in levels.items():
             suffix = str(i + 1) if len(levels) > 1 else ""
             wtd = self.add(f"wtd{suffix}", WaveletDownsample(chans[i], init))
             cga = self.add(f"cga{suffix}", CGA(chans[i], init))
-            self.fusions.append((i, wtd, cga))
+            self.fusions.append((i, tokens, wtd, cga))
 
         rc = config.reduced_channels
         self.rfbs = [
@@ -336,25 +329,28 @@ class DSUNet(Module):
     # -- forward ---------------------------------------------------------
 
     def encode(self, image_main, image_aux):
+        """The pyramid as a name -> Tensor dict: s1..s4 from the pyramid
+        encoder, then v and v_tap1..v_tap4 from the token encoder (v is
+        v_tap4); a DSUF feature file holds the same names."""
         self.profile.check({"image_main": image_main, "image_aux": image_aux})
-        s1, s2, s3, s4 = self.hiera(image_main)
-        v, taps = self.vit(image_aux)
-        return FeaturePyramid(s1, s2, s3, s4, v, taps)
+        pyramid = dict(zip(LEVELS, self.hiera(image_main)))
+        pyramid["v"], taps = self.vit(image_aux)
+        pyramid.update((f"v_tap{i + 1}", t) for i, t in enumerate(taps))
+        return pyramid
 
-    def forward_pyramid(self, pyramid: FeaturePyramid):
-        inputs = dict(zip(("s1", "s2", "s3", "s4", "v"), pyramid.levels() + [pyramid.v]))
-        if self.config.variant == "B":
-            taps = pyramid.v_taps or []
-            inputs.update((f"v_tap{i + 1}", taps[i] if i < len(taps) else None)
-                          for i, _, _ in self.fusions)
-        self.profile.check(inputs)
-        adapted = [ad(s) for ad, s in zip(self.adapters, pyramid.levels())]
+    def forward_pyramid(self, pyramid):
+        """Logits (d1, d2, d3), each 1 x H x W, coarsest decoder stage first,
+        from a name -> Tensor pyramid; s1..s4, v and the token maps the variant
+        fuses must be there in the profile's shapes."""
+        names = LEVELS + ("v",) + tuple(tokens for _, tokens, _, _ in self.fusions)
+        self.profile.check({name: pyramid.get(name) for name in names})
+        adapted = [ad(pyramid[name]) for ad, name in zip(self.adapters, LEVELS)]
 
         fused = list(adapted)
-        for i, wtd, cga in self.fusions:
-            tokens = pyramid.v_taps[i] if self.config.variant == "B" else pyramid.v
+        for i, tokens, wtd, cga in self.fusions:
             c_i, h_i, w_i = adapted[i].data.shape
-            fused[i] = cga(adapted[i], wtd(channel_resample(tokens, c_i), h_i, w_i))
+            fused[i] = cga(adapted[i], wtd(channel_resample(pyramid[tokens], c_i),
+                                           h_i, w_i))
 
         x1, x2, x3, x4 = [rfb(t) for rfb, t in zip(self.rfbs, fused)]
         u3 = self.sffs[0](x3, x4)
@@ -364,7 +360,7 @@ class DSUNet(Module):
         d1 = self.heads[0](u3, size, size)
         d2 = self.heads[1](u2, size, size)
         d3 = self.heads[2](u1, size, size)
-        return DecoderOutputs(d1, d2, d3)
+        return d1, d2, d3
 
     def forward(self, image_main, image_aux):
         return self.forward_pyramid(self.encode(image_main, image_aux))

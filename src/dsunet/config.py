@@ -36,13 +36,20 @@ class Profile:
         """ShapeError, prefixed by ``where``, unless each named array or Tensor
         (None: missing) has the shape this profile accepts under its name:
         image_main 3 x main_size², image_aux 3 x aux_size², the mask gt
-        main_size², s1..s4 and v as :meth:`pyramid_shapes`, each v_tapN v's."""
+        main_size², s1..s4 and v as :meth:`pyramid_shapes`, and one ViT tap
+        per level, v_tap1..v_tap4, v's.  Any other name is rejected."""
+        shapes = self.pyramid_shapes()
         accepted = {"image_main": (3, self.main_size, self.main_size),
                     "image_aux": (3, self.aux_size, self.aux_size),
                     "gt": (self.main_size, self.main_size),
-                    **self.pyramid_shapes()}
+                    **shapes,
+                    **{f"v_tap{i + 1}": shapes["v"]
+                       for i in range(len(self.hiera_channels))}}
         for name, array in arrays.items():
-            expected = accepted["v" if name.startswith("v_tap") else name]
+            if name not in accepted:
+                raise ShapeError(f"{where}{name!r} is not an input of profile "
+                                 f"{self.name!r}, which takes {', '.join(accepted)}")
+            expected = accepted[name]
             if array is None or array.shape != expected:
                 got = "missing" if array is None else f"shape {array.shape}"
                 raise ShapeError(f"{where}{name} {got}: {name!r} of profile "

@@ -93,7 +93,8 @@ class _Reader:
 
 
 def read_container(path, magic=MAGIC_FEATURES):
-    """Read a container back into a name -> float32 array dict.
+    """Read a container back into a name -> float32 array dict; a name that
+    is not UTF-8 or appears twice is a ContainerError.
 
     Each payload is read into a new array of its own; on a little-endian
     machine that array is returned as it is, with no further copy.
@@ -107,9 +108,14 @@ def read_container(path, magic=MAGIC_FEATURES):
         if version != VERSION:
             raise BadVersionError(f"unsupported version {version}")
         out = {}
-        for _ in range(count):
+        for i in range(count):
             (name_len,) = struct.unpack("<I", r.take(4, "name length"))
-            name = r.take(name_len, "name").decode("utf-8")
+            try:
+                name = r.take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContainerError(f"tensor {i}: name is not UTF-8") from None
+            if name in out:
+                raise ContainerError(f"tensor {i}: name {name!r} appears twice")
             (ndim,) = struct.unpack("<I", r.take(4, "ndim"))
             dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim, "dims"))
             out[name] = r.take_array(dims, f"payload of {name!r}")

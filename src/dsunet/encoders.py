@@ -8,27 +8,10 @@ through the DSUF container instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import Profile
 from .container import MAGIC_FEATURES, read_container, write_container
 from .nn import Conv2d, Module
-from .tensor import ShapeError, Tensor, gelu, relu
-
-
-@dataclass
-class FeaturePyramid:
-    """The four hierarchical maps S1..S4, the token map V, optional ViT taps."""
-
-    s1: Tensor
-    s2: Tensor
-    s3: Tensor
-    s4: Tensor
-    v: Tensor
-    v_taps: list[Tensor] | None = None
-
-    def levels(self):
-        return [self.s1, self.s2, self.s3, self.s4]
+from .tensor import Tensor, gelu, relu
 
 
 class ToyHiera(Module):
@@ -100,19 +83,11 @@ def write_feature_file(path, named_tensors):
 
 
 def load_pyramid(path, profile: Profile):
-    """Read a DSUF file and check every shape, taps included, against the
-    profile; ViT taps, when present, are read by number as v_tap1 .. v_tapN."""
+    """Read a DSUF file as the name -> Tensor pyramid that ``DSUNet.encode``
+    returns: ShapeError unless it holds s1..s4 and v, and every array in it
+    has the profile's shape under a name the profile knows (v_tap1..v_tap4
+    included)."""
     arrays = read_container(path, magic=MAGIC_FEATURES)
-    names = list(profile.pyramid_shapes())
-    for name in names:
-        if name not in arrays:
-            raise ShapeError(f"feature file is missing {name!r}")
-    n_taps = sum(name.startswith("v_tap") for name in arrays)
-    tap_names = [f"v_tap{i}" for i in range(1, n_taps + 1)]
-    missing = [name for name in tap_names if name not in arrays]
-    if missing:
-        raise ShapeError(f"feature file has {n_taps} ViT taps but no {missing[0]!r}")
-    profile.check({name: arrays[name] for name in names + tap_names},
+    profile.check({**dict.fromkeys(profile.pyramid_shapes()), **arrays},
                   f"feature file {path}: ")
-    taps = [Tensor(arrays[name]) for name in tap_names] or None
-    return FeaturePyramid(*[Tensor(arrays[name]) for name in names], taps)
+    return {name: Tensor(array) for name, array in arrays.items()}

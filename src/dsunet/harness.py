@@ -108,20 +108,16 @@ def _train_step(model, sample, scale, where):
     next forward builds another.
     """
     outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
-    if not all(np.isfinite(d.data).all() for d in outputs.levels()):
+    if not all(np.isfinite(d.data).all() for d in outputs):
         raise TrainingDiverged(f"non-finite logits at {where}")
     loss, row = total_loss(outputs, sample.gt, model.config)
     loss.backward(np.asarray(scale, dtype=loss.dtype))
     return row
 
 
-def fit_samples(run: RunConfig, samples, progress=None):
-    """Deterministic in-memory training loop over the given samples.
-
-    Returns (model, optimizer, epoch_rows) and writes nothing.  An empty
-    sample list (ValueError) or a sample whose images or mask the profile
-    rejects (ShapeError) raises before the model is built.
-    """
+def _check_samples(run, samples):
+    """ValueError for an empty sample list, ShapeError for a sample whose
+    images or mask the profile rejects."""
     if not samples:
         raise ValueError("no training samples: n_train is 0, the data_dir "
                          "manifest lists none, or the given sample list is empty")
@@ -129,6 +125,15 @@ def fit_samples(run: RunConfig, samples, progress=None):
         run.model.resolved_profile.check(
             {"image_main": s.image_main, "image_aux": s.image_aux, "gt": s.gt},
             f"sample {i} ({s.id}): ")
+
+
+def fit_samples(run: RunConfig, samples, progress=None):
+    """Deterministic in-memory training loop over the given samples.
+
+    Returns (model, optimizer, epoch_rows) and writes nothing.  Samples that
+    :func:`_check_samples` rejects raise before the model is built.
+    """
+    _check_samples(run, samples)
     model = DSUNet(run.model)
     optimizer = AdamW(model.trainable_parameters(), lr=run.lr,
                       weight_decay=run.weight_decay)
@@ -156,9 +161,14 @@ def fit_samples(run: RunConfig, samples, progress=None):
     return model, optimizer, epoch_rows
 
 
-def _write_run(run, model, optimizer, epoch_rows):
-    """Write ``train_log.csv`` and ``model.dsut`` into the existing
-    ``run.out_dir``; returns (checkpoint path, log path)."""
+def _train_run(run, samples, progress=None):
+    """Check the samples, make ``run.out_dir``, train, and write
+    ``train_log.csv`` and ``model.dsut`` there; returns (model, epoch_rows,
+    checkpoint path, log path).  A rejected dataset leaves no directory, and
+    one that cannot be made fails before training."""
+    _check_samples(run, samples)
+    os.makedirs(run.out_dir, exist_ok=True)
+    model, optimizer, epoch_rows = fit_samples(run, samples, progress)
     log_path = os.path.join(run.out_dir, "train_log.csv")
     with open(log_path, "w", encoding="utf-8") as f:
         f.write(LOG_HEADER + "\n")
@@ -167,17 +177,14 @@ def _write_run(run, model, optimizer, epoch_rows):
 
     ckpt_path = os.path.join(run.out_dir, "model.dsut")
     save_checkpoint(ckpt_path, model, run, optimizer)
-    return ckpt_path, log_path
+    return model, epoch_rows, ckpt_path, log_path
 
 
 def train(run: RunConfig, progress=None):
     """Train on ``run.data_dir``'s samples, or on samples generated from
     ``run.seed``; writes a CSV log and a final checkpoint."""
     train_samples, val_samples = load_or_generate(run)
-    if train_samples:  # with none, fit_samples raises and no directory is made
-        os.makedirs(run.out_dir, exist_ok=True)
-    model, optimizer, epoch_rows = fit_samples(run, train_samples, progress)
-    ckpt_path, log_path = _write_run(run, model, optimizer, epoch_rows)
+    model, epoch_rows, ckpt_path, log_path = _train_run(run, train_samples, progress)
     return TrainResult(model, run, epoch_rows, ckpt_path, log_path,
                        train_samples, val_samples)
 
@@ -197,7 +204,7 @@ def _probability_map(model, image_main, image_aux):
     for p in params:
         p.requires_grad = False
     try:
-        d3 = model(Tensor(image_main), Tensor(image_aux)).d3
+        d3 = model(Tensor(image_main), Tensor(image_aux))[-1]
     finally:
         for p in params:
             p.requires_grad = True
@@ -257,10 +264,7 @@ def ablate(base_run: RunConfig):
         run = replace(base_run,
                       model=replace(base_run.model, variant=variant),
                       out_dir=os.path.join(base_run.out_dir, f"variant_{variant}"))
-        if train_samples:  # made before training, as in train
-            os.makedirs(run.out_dir, exist_ok=True)
-        model, optimizer, epoch_rows = fit_samples(run, train_samples)
-        _write_run(run, model, optimizer, epoch_rows)
+        model, _, _, _ = _train_run(run, train_samples)
         pairs = []
         for sample in val_samples:
             pred = _probability_map(model, sample.image_main, sample.image_aux)

@@ -41,7 +41,8 @@ def pixel_weight_map(gt):
 def total_loss(outputs, gt, config):
     """Weighted multi-level loss over the three decoder outputs.
 
-    ``gt`` is the H x W ground-truth mask.  Per level, with z the logits in
+    ``outputs`` holds the logit maps (d1, d2, d3) and ``gt`` is the H x W
+    ground-truth mask.  Per level, with z the logits in
     float64, p = sigmoid(z) and g = gt:
 
     - BCE = Sum(w * (max(z, 0) - z*g + log(1 + exp(-|z|)))) / Sum(w), the
@@ -60,7 +61,7 @@ def total_loss(outputs, gt, config):
     w = (pixel_weight_map(gt).astype(np.float64) if config.pixel_weighted_loss
          else np.ones_like(g))
     wsum = w.sum()
-    levels = outputs.levels()
+    levels = tuple(outputs)
     dtype = levels[0].dtype.type
     row, saved, total = [], [], None
     for lw, logits in zip(config.loss_weights, levels):
@@ -90,4 +91,4 @@ def total_loss(outputs, gt, config):
             _accumulate(logits, (scale * (dp * p * (1.0 - p))).astype(logits.dtype))
 
     row.append(total)
-    return _make(np.asarray(total), tuple(levels), backward), np.array(row, dtype=np.float64)
+    return _make(np.asarray(total), levels, backward), np.array(row, dtype=np.float64)

@@ -12,11 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsunet.blocks import DSUNet, DecoderOutputs, SFF
+from dsunet.blocks import DSUNet, SFF
 from dsunet.cli import main as cli_main
 from dsunet.config import PROFILES, ModelConfig, RunConfig, render_config
 from dsunet.data import generate_sample, read_mask, write_dataset, write_mask
-from dsunet.encoders import FeaturePyramid
 from dsunet.harness import predict, train
 from dsunet.losses import total_loss
 from dsunet.metrics import (
@@ -102,12 +101,12 @@ def test_criterion_01_shape_conformance():
     outputs = model.forward_pyramid(pyramid)
     elapsed = time.monotonic() - start
 
-    assert pyramid.s1.shape == (144, 88, 88)
-    assert pyramid.s2.shape == (288, 44, 44)
-    assert pyramid.s3.shape == (576, 22, 22)
-    assert pyramid.s4.shape == (1152, 11, 11)
-    assert pyramid.v.shape == (1024, 37, 37)
-    for d in outputs.levels():
+    assert pyramid["s1"].shape == (144, 88, 88)
+    assert pyramid["s2"].shape == (288, 44, 44)
+    assert pyramid["s3"].shape == (576, 22, 22)
+    assert pyramid["s4"].shape == (1152, 11, 11)
+    assert pyramid["v"].shape == (1024, 37, 37)
+    for d in outputs:
         assert d.shape == (1, 352, 352)
     assert elapsed < 60.0, f"forward took {elapsed:.1f}s"
     _report(1, "shape conformance")
@@ -128,9 +127,8 @@ def test_criterion_02_gradient_suite():
         cfg = ModelConfig(profile="toy", variant="full", seed=seed)
         model = DSUNet(cfg)
         rng = np.random.default_rng(seed + 50)
-        pyr = FeaturePyramid(
-            *[Tensor(rng.standard_normal(shapes[k]).astype(np.float32))
-              for k in ("s1", "s2", "s3", "s4", "v")])
+        pyr = {k: Tensor(rng.standard_normal(shapes[k]).astype(np.float32))
+               for k in ("s1", "s2", "s3", "s4", "v")}
         gt = (rng.random((prof.main_size,) * 2) > 0.5).astype(np.float32)
         trainable = model.trainable_parameters()
         for name, p in trainable.items():
@@ -141,7 +139,7 @@ def test_criterion_02_gradient_suite():
         chosen = {}
         for name, p in trainable.items():
             chosen.setdefault(name.split(".")[0], p)
-        cast_all(list(trainable.values()) + pyr.levels() + [pyr.v], np.float64)
+        cast_all(list(trainable.values()) + list(pyr.values()), np.float64)
         err = grad_check(
             lambda: total_loss(model.forward_pyramid(pyr), gt, cfg)[0],
             list(chosen.values()), rng=np.random.default_rng(seed), max_coords=2)
@@ -200,7 +198,7 @@ def test_criterion_05_loss_algebra():
     x = Tensor(rng.standard_normal((1, 16, 16)).astype(np.float64))
     cfg = ModelConfig(profile="toy", seed=0)
     gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
-    total, row = total_loss(DecoderOutputs(x, x, x), gt, cfg)
+    total, row = total_loss((x, x, x), gt, cfg)
     assert row[2] == row[5] == row[8]  # level1, level2, level3
     c = np.float64(row[2])
     expected = c * np.float64(0.25) + c * np.float64(0.5) + c * np.float64(1.0)
@@ -211,7 +209,7 @@ def test_criterion_05_loss_algebra():
     gt2 = np.zeros((16, 16), dtype=np.float32)
     gt2[4:12, 4:12] = 1.0
     logits = Tensor(np.where(gt2 > 0.5, 60.0, -60.0).astype(np.float64)[None])
-    sat_total, _ = total_loss(DecoderOutputs(logits, logits, logits), gt2, cfg)
+    sat_total, _ = total_loss((logits, logits, logits), gt2, cfg)
     assert float(sat_total.data) < 1e-5
     _report(5, "loss algebra")
 
@@ -343,7 +341,7 @@ def test_criterion_10_mask_export(ref_result, work_dir, tmp_path):
     model, _, _ = load_checkpoint(ref_result.checkpoint_path)
     for sample in load_dataset(val_dir):
         outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
-        prob = 1.0 / (1.0 + np.exp(-outputs.d3.data.astype(np.float64)))[0]
+        prob = 1.0 / (1.0 + np.exp(-outputs[-1].data.astype(np.float64)))[0]
         want = np.rint(prob * 255.0).astype(np.uint8).tobytes()
         raw = open(by_stem[sample.id], "rb").read()
         payload = raw.split(b"255\n", 1)[1]

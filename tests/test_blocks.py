@@ -295,7 +295,7 @@ class TestModelAssembly:
         main = Tensor(rng.random((3, p.main_size, p.main_size)).astype(np.float32))
         aux = Tensor(rng.random((3, p.aux_size, p.aux_size)).astype(np.float32))
         outs = model.forward(main, aux)
-        for d in outs.levels():
+        for d in outs:
             assert d.shape == (1, p.main_size, p.main_size)
 
     @pytest.mark.parametrize("variant", ["full", "A", "B", "C"])
@@ -308,7 +308,7 @@ class TestModelAssembly:
         aux = Tensor(rng.random((3, p.aux_size, p.aux_size)).astype(np.float32))
         gt = (rng.random((p.main_size, p.main_size)) > 0.5).astype(np.float32)
         outs = model.forward(main, aux)
-        assert [d.dtype for d in outs.levels()] == [np.float32] * 3
+        assert [d.dtype for d in outs] == [np.float32] * 3
         loss, _ = total_loss(outs, gt, cfg)
         assert loss.dtype == np.float32
         loss.backward()
@@ -392,15 +392,21 @@ class TestModelAssembly:
 
     def test_variant_b_rejects_misshapen_tap(self):
         model, pyramid = self._variant_b_pyramid()
-        pyramid.v_taps[2] = Tensor(np.zeros((5, 4, 4), dtype=np.float32))
+        pyramid["v_tap3"] = Tensor(np.zeros((5, 4, 4), dtype=np.float32))
         with pytest.raises(ShapeError, match="'v_tap3'"):
             model.forward_pyramid(pyramid)
 
     @pytest.mark.parametrize("n_taps", [None, 0, 3])
     def test_variant_b_rejects_missing_taps(self, n_taps):
+        # n_taps: the taps kept, v_tap1 onwards; None keeps every name but
+        # maps it to None
         model, pyramid = self._variant_b_pyramid()
-        pyramid.v_taps = None if n_taps is None else pyramid.v_taps[:n_taps]
-        with pytest.raises(ShapeError, match=f"'v_tap{(n_taps or 0) + 1}'"):
+        for i in range(n_taps or 0, 4):
+            if n_taps is None:
+                pyramid[f"v_tap{i + 1}"] = None
+            else:
+                del pyramid[f"v_tap{i + 1}"]
+        with pytest.raises(ShapeError, match=f"v_tap{(n_taps or 0) + 1} missing"):
             model.forward_pyramid(pyramid)
 
     def test_variant_a_has_no_aux_fusion_params(self):

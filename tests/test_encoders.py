@@ -11,12 +11,12 @@ from dsunet.container import (
     MAGIC_FEATURES,
     BadMagicError,
     BadVersionError,
+    ContainerError,
     TruncatedError,
     read_container,
     write_container,
 )
 from dsunet.encoders import (
-    FeaturePyramid,
     ToyHiera,
     ToyViT,
     load_pyramid,
@@ -89,11 +89,16 @@ class TestToyViT:
 
 
 def joined_container_bytes(tensors, magic=MAGIC_FEATURES):
-    """Oracle: the container bytes as one join of every header and payload."""
-    chunks = [magic, struct.pack("<II", 1, len(tensors))]
-    for name, arr in tensors.items():
+    """Oracle: the container bytes as one join of every header and payload.
+
+    ``tensors`` is a name -> array mapping or a list of (name, array) pairs,
+    each name a str or its raw bytes, so a test can craft a file that the
+    writer would never produce."""
+    items = list(tensors.items() if isinstance(tensors, dict) else tensors)
+    chunks = [magic, struct.pack("<II", 1, len(items))]
+    for name, arr in items:
         arr = np.asarray(arr, dtype=np.float32)
-        nameb = name.encode("utf-8")
+        nameb = name if isinstance(name, bytes) else name.encode("utf-8")
         chunks.append(struct.pack("<I", len(nameb)))
         chunks.append(nameb)
         chunks.append(struct.pack("<I", arr.ndim))
@@ -214,6 +219,20 @@ class TestContainer:
             with pytest.raises(TruncatedError):
                 read_container(str(p))
 
+    def test_non_utf8_name_raises(self, tmp_path):
+        p = tmp_path / "latin1.dsuf"
+        one = np.ones(2, dtype=np.float32)
+        p.write_bytes(joined_container_bytes([("ok", one), (b"n\xe4me", one)]))
+        with pytest.raises(ContainerError, match="tensor 1: name is not UTF-8"):
+            read_container(str(p))
+
+    def test_repeated_name_raises(self, tmp_path):
+        p = tmp_path / "twice.dsuf"
+        pairs = [("s1", np.zeros(2)), ("v", np.ones(3)), ("s1", np.ones(2))]
+        p.write_bytes(joined_container_bytes(pairs))
+        with pytest.raises(ContainerError, match="tensor 2: name 's1' appears twice"):
+            read_container(str(p))
+
     def test_read_arrays_are_owned_and_writeable(self, tmp_path):
         p = str(tmp_path / "w.dsuf")
         write_container(p, self._odd_arrays())
@@ -242,11 +261,31 @@ class TestFeatureIngestion:
         path = str(tmp_path / "feat.dsuf")
         write_feature_file(path, self._pyramid_arrays(prof))
         pyr = load_pyramid(path, prof)
-        assert isinstance(pyr, FeaturePyramid)
+        assert list(pyr) == ["s1", "s2", "s3", "s4", "v"]
+        assert all(isinstance(t, Tensor) for t in pyr.values())
         model = DSUNet(ModelConfig(profile="toy", seed=0))
         outs = model.forward_pyramid(pyr)
-        for d in outs.levels():
+        for d in outs:
             assert d.shape == (1, prof.main_size, prof.main_size)
+
+    @pytest.mark.parametrize("variant", ["B", "full"])
+    def test_encoded_pyramid_round_trips_through_a_feature_file(self, variant,
+                                                                tmp_path):
+        # encode's dict is what a DSUF file holds: written, read back and
+        # decoded, it gives the logits of the in-memory forward, byte for byte
+        prof = PROFILES["toy"]
+        model = DSUNet(ModelConfig(profile="toy", variant=variant, seed=0))
+        rng = np.random.default_rng(2)
+        main = Tensor(rng.random((3, prof.main_size, prof.main_size)).astype(np.float32))
+        aux = Tensor(rng.random((3, prof.aux_size, prof.aux_size)).astype(np.float32))
+        path = str(tmp_path / "encoded.dsuf")
+        write_feature_file(path, model.encode(main, aux))
+        pyr = load_pyramid(path, prof)
+        assert list(pyr) == ["s1", "s2", "s3", "s4", "v",
+                             "v_tap1", "v_tap2", "v_tap3", "v_tap4"]
+        got = model.forward_pyramid(pyr)
+        want = model.forward(main, aux)
+        assert [d.data.tobytes() for d in got] == [d.data.tobytes() for d in want]
 
     def test_missing_tensor(self, tmp_path):
         prof = PROFILES["toy"]
@@ -254,7 +293,7 @@ class TestFeatureIngestion:
         del arrays["s3"]
         path = str(tmp_path / "feat.dsuf")
         write_feature_file(path, arrays)
-        with pytest.raises(ShapeError, match="missing 's3'"):
+        with pytest.raises(ShapeError, match="s3 missing: 's3' of profile 'toy'"):
             load_pyramid(path, prof)
 
     def test_wrong_shape(self, tmp_path):
@@ -264,6 +303,17 @@ class TestFeatureIngestion:
         path = str(tmp_path / "feat.dsuf")
         write_feature_file(path, arrays)
         with pytest.raises(ShapeError, match="'v'"):
+            load_pyramid(path, prof)
+
+    @pytest.mark.parametrize("name", ["v_tap5", "v_tap0", "s5", "V"])
+    def test_unknown_name_raises(self, name, tmp_path):
+        prof = PROFILES["toy"]
+        arrays = self._pyramid_arrays(prof)
+        arrays[name] = arrays["v"]
+        path = str(tmp_path / "feat.dsuf")
+        write_feature_file(path, arrays)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"{name!r} is not an input of profile 'toy'")):
             load_pyramid(path, prof)
 
     def test_taps_loaded_in_order(self, tmp_path):
@@ -276,29 +326,33 @@ class TestFeatureIngestion:
         path = str(tmp_path / "feat.dsuf")
         write_feature_file(path, arrays)
         pyr = load_pyramid(path, prof)
-        assert pyr.v_taps is not None and len(pyr.v_taps) == 4
-        np.testing.assert_array_equal(pyr.v_taps[2].data, arrays["v_tap3"])
+        assert list(pyr) == list(arrays)
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(pyr[name].data, array)
 
-    def test_taps_read_by_number_not_by_name(self, tmp_path):
-        # sorted by name, v_tap10 would come before v_tap2
+    def test_taps_read_by_name(self, tmp_path):
+        # written out of order, each tap is still found under its own name
         prof = PROFILES["toy"]
         arrays = self._pyramid_arrays(prof)
-        for i in range(1, 11):
+        for i in (4, 2, 1, 3):
             arrays[f"v_tap{i}"] = np.full(arrays["v"].shape, i, dtype=np.float32)
         path = str(tmp_path / "feat.dsuf")
         write_feature_file(path, arrays)
         pyr = load_pyramid(path, prof)
-        assert [float(t.data.flat[0]) for t in pyr.v_taps] == list(range(1, 11))
+        assert [float(pyr[f"v_tap{i}"].data.flat[0]) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
 
     def test_tap_gap_raises(self, tmp_path):
+        # taps are optional in a file; a variant-B decode names the one it lacks
         prof = PROFILES["toy"]
         arrays = self._pyramid_arrays(prof)
-        for i in (1, 3, 4, 5):
+        for i in (1, 3, 4):
             arrays[f"v_tap{i}"] = np.zeros(arrays["v"].shape, dtype=np.float32)
         path = str(tmp_path / "feat.dsuf")
         write_feature_file(path, arrays)
-        with pytest.raises(ShapeError, match="no 'v_tap2'"):
-            load_pyramid(path, prof)
+        pyr = load_pyramid(path, prof)
+        model = DSUNet(ModelConfig(profile="toy", variant="B", seed=0))
+        with pytest.raises(ShapeError, match="v_tap2 missing"):
+            model.forward_pyramid(pyr)
 
     def test_misshapen_tap_raises(self, tmp_path):
         prof = PROFILES["toy"]

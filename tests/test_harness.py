@@ -230,7 +230,7 @@ class TestProbabilityMap:
 
     def test_equals_the_sigmoid_of_a_taped_forward(self):
         model, sample = self._model_and_sample()
-        d3 = model(Tensor(sample.image_main), Tensor(sample.image_aux)).d3
+        d3 = model(Tensor(sample.image_main), Tensor(sample.image_aux))[-1]
         assert d3._parents != ()
         with np.errstate(over="ignore"):
             want = (1.0 / (1.0 + np.exp(-d3.data.astype(np.float64))))[0]
@@ -245,7 +245,7 @@ class TestProbabilityMap:
 
         def spy(*args):
             outputs = forward_pyramid(*args)
-            seen.append(outputs.d3)
+            seen.append(outputs[-1])
             return outputs
 
         monkeypatch.setattr(model, "forward_pyramid", spy)
@@ -390,6 +390,16 @@ class TestTraining:
                 "'image_main' of profile 'toy' is (3, 96, 96)")):
             train(run)
         assert calls == []
+
+    @pytest.mark.parametrize("call", [train, ablate], ids=["train", "ablate"])
+    def test_rejected_dataset_leaves_no_out_dir(self, call, tmp_path):
+        data = str(tmp_path / "data")
+        assert cli_main(["gen-data", "--out", data, "--n", "1",
+                         "--profile", "large"]) == 0
+        out = tmp_path / "run"
+        with pytest.raises(ShapeError, match=re.escape("sample 0 (sod_000000)")):
+            call(tiny_run(str(out), data_dir=data, n_train=1, n_val=0))
+        assert not out.exists()
 
     def test_training_from_dataset_dir(self, tmp_path):
         data = str(tmp_path / "data")

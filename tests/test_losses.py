@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from dsunet.blocks import DecoderOutputs
 from dsunet.config import ModelConfig
 from dsunet.losses import ROW, pixel_weight_map, total_loss
 from dsunet.tensor import ShapeError, Tensor, cast_all, grad_check
@@ -69,7 +68,7 @@ def _level1(z, gt, pixel_weighted=True):
                       pixel_weighted_loss=pixel_weighted)
     d1 = Tensor(np.asarray(z, dtype=np.float64)[None], requires_grad=True)
     rest = [Tensor(np.zeros_like(d1.data)) for _ in range(2)]
-    total, row = total_loss(DecoderOutputs(d1, *rest), gt, cfg)
+    total, row = total_loss((d1, *rest), gt, cfg)
     return total, row, d1
 
 
@@ -153,7 +152,7 @@ class TestWeightedBCE:
         np.testing.assert_allclose(numeric, w * (p - gt) / w.sum(), atol=1e-8)
 
     def test_shape_mismatch(self):
-        outputs = DecoderOutputs(*[Tensor(np.zeros((1, 3, 3))) for _ in range(3)])
+        outputs = tuple(Tensor(np.zeros((1, 3, 3))) for _ in range(3))
         with pytest.raises(ShapeError, match="logits"):
             total_loss(outputs, np.zeros((4, 4)), ModelConfig(profile="toy", seed=0))
 
@@ -217,17 +216,14 @@ class TestWeightedIoU:
 
 class TestTotalLoss:
     def _outputs(self, rng, h=16, w=16):
-        return DecoderOutputs(
-            Tensor(rng.standard_normal((1, h, w)).astype(np.float32)),
-            Tensor(rng.standard_normal((1, h, w)).astype(np.float32)),
-            Tensor(rng.standard_normal((1, h, w)).astype(np.float32)),
-        )
+        return tuple(Tensor(rng.standard_normal((1, h, w)).astype(np.float32))
+                     for _ in range(3))
 
     def test_weighted_sum_identity(self):
         # identical logits at all levels: total = (0.25 + 0.5 + 1.0) * level
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 16, 16)).astype(np.float32))
-        outputs = DecoderOutputs(x, x, x)
+        outputs = (x, x, x)
         gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
         cfg = ModelConfig(profile="toy", seed=0)
         total, row = total_loss(outputs, gt, cfg)
@@ -270,12 +266,12 @@ class TestTotalLoss:
     def test_backward_reaches_all_levels(self):
         rng = np.random.default_rng(4)
         outputs = self._outputs(rng)
-        for t in outputs.levels():
+        for t in outputs:
             t.requires_grad = True
         gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
         total, _ = total_loss(outputs, gt, ModelConfig(profile="toy", seed=0))
         total.backward()
-        for t in outputs.levels():
+        for t in outputs:
             assert t.grad is not None
             assert np.any(t.grad != 0)
 
@@ -291,7 +287,7 @@ class TestTotalLoss:
         outputs = self._outputs(rng, h=8, w=8)
         gt = (rng.random((8, 8)) > 0.5).astype(np.float32)
         cfg = ModelConfig(profile="toy", seed=0)
-        ts = list(outputs.levels())
+        ts = list(outputs)
         cast_all(ts, np.float64)
         assert grad_check(lambda: total_loss(outputs, gt, cfg)[0], ts) < 1e-6
 
@@ -331,7 +327,7 @@ class TestTotalLoss:
         cfg = (ModelConfig(profile="toy", seed=0) if case == "pixel-weighted" else
                ModelConfig(profile="toy", seed=0, loss_weights=(0.3, 0.7, 1.1),
                            pixel_weighted_loss=False))
-        total, row = total_loss(DecoderOutputs(*logits), gt, cfg)
+        total, row = total_loss(logits, gt, cfg)
         total.backward(np.asarray(0.25, dtype=np.float32))
         arrays = [total.data, row] + [t.grad for t in logits]
         assert [a.dtype for a in arrays] == [np.float32, np.float64] + [np.float32] * 3

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsunet import tensor
-from dsunet.blocks import DecoderOutputs
 from dsunet.config import ModelConfig
 from dsunet.losses import total_loss
 from dsunet.tensor import (
@@ -491,7 +490,8 @@ _TOY = ModelConfig(profile="toy", seed=0)
 
 # (leaf shapes, op applied to the leaves); every public op of tensor.py and
 # losses.py, with each conv2d grouping taken once, and the windows blocks.py
-# takes with narrow: WaveletDownsample's reflect pad and crop
+# takes with narrow: WaveletDownsample's reflect pad (a concat of the map and
+# its second-to-last row) and its crop (an ellipsis narrow)
 _OP_CASES = {
     "add": ([(2, 3, 3), (1, 3, 1)], add),
     "mul": ([(2, 3, 3), (2, 3, 3)], mul),
@@ -500,9 +500,9 @@ _OP_CASES = {
     "gelu": ([(2, 3, 3)], gelu),
     "concat": ([(2, 3, 3), (1, 3, 3)], lambda a, b: concat([a, b], axis=0)),
     "narrow": ([(4, 3, 3)], lambda x: narrow(x, np.s_[1:3])),
-    "pad_reflect_br": ([(2, 3, 4)], lambda x: concat(
+    "concat-narrow-reflect-pad": ([(2, 3, 4)], lambda x: concat(
         [x, narrow(x, np.s_[..., 1:2, :])], axis=-2)),
-    "crop2d": ([(2, 1, 4, 5)], lambda x: narrow(x, np.s_[..., :3, :3])),
+    "narrow-ellipsis": ([(2, 1, 4, 5)], lambda x: narrow(x, np.s_[..., :3, :3])),
     "linear": ([(4, 2, 3), (4, 5), (5,)], linear),
     "conv2d-dense": ([(4, 1, 5, 5), (6, 4, 3, 3), (6,)],
                      lambda x, w, b: conv2d(x, w, b, ConvSpec(4, 6, (3, 3), padding=1))),
@@ -517,7 +517,7 @@ _OP_CASES = {
     "amax": ([(3, 4, 4)], lambda x: amax(x, (0,))),
     "softmax_over_branch": ([(3, 4, 4)], softmax_over_branch),
     "total_loss": ([(1, 6, 6)] * 3,
-                   lambda *ds: total_loss(DecoderOutputs(*ds), _GT[0], _TOY)[0]),
+                   lambda *ds: total_loss(ds, _GT[0], _TOY)[0]),
 }
 
 
