@@ -1,8 +1,9 @@
 """Trainable DSU-Net blocks and the full network assembly.
 
-Adapter, channel resampling, wavelet downsampling (WTD), receptive-field
-reduction (RFB), content-guided attention fusion (CGA), spatial feature
-fusion (SFF) decoding, point-wise heads, and the four fusion variants.
+Adapter, the Haar wavelet pair and wavelet downsampling (WTD),
+receptive-field reduction (RFB), content-guided attention fusion (CGA),
+spatial feature fusion (SFF) decoding, point-wise heads, and the four fusion
+variants.  The token map's channel resampling is ``tensor.channel_resample``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from .encoders import ToyHiera, ToyViT
 from .nn import Conv2d, Linear, Module, seeded_init
 from .tensor import (
     ShapeError,
-    Tensor,
-    _accumulate,
-    _interp_taps,
-    _make,
     amax,
     bilinear_resize,
+    channel_resample,
     concat,
+    fixed_map,
     gelu,
     mean,
     mul,
@@ -29,30 +28,6 @@ from .tensor import (
     sigmoid,
     softmax_over_branch,
 )
-
-
-def channel_resample(x, out_channels):
-    """Linear interpolation along the channel axis of a C x H x W map.
-
-    Output channel j samples input coordinate j * (Cin-1) / (Cout-1)
-    (corner-aligned); parameter-free and differentiable.
-    """
-    cin = x.data.shape[0]
-    if out_channels == cin:
-        return x
-    j0, j1, frac = _interp_taps(cin, out_channels)
-    frac = frac.astype(x.dtype)
-    w0 = (1 - frac)[:, None, None]
-    w1 = frac[:, None, None]
-    out_data = x.data[j0] * w0 + x.data[j1] * w1
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, j0, g * w0)
-        np.add.at(gx, j1, g * w1)
-        _accumulate(x, gx)
-
-    return _make(out_data, (x,), backward)
 
 
 # orthonormal 2x2 Haar mixing matrix applied to the (y00, y01, y10, y11)
@@ -66,38 +41,39 @@ def _haar_mix(a, b, c, d):
 
 
 def _dwt(d):
-    """C x H x W array -> its 4C x H/2 x W/2 LL, LH, HL, HH sub-bands."""
-    return np.concatenate(_haar_mix(d[:, 0::2, 0::2], d[:, 0::2, 1::2],
-                                    d[:, 1::2, 0::2], d[:, 1::2, 1::2]), axis=0)
+    """C x ... x H x W array -> its 4C x ... x H/2 x W/2 LL, LH, HL, HH sub-bands."""
+    return np.concatenate(_haar_mix(d[..., 0::2, 0::2], d[..., 0::2, 1::2],
+                                    d[..., 1::2, 0::2], d[..., 1::2, 1::2]), axis=0)
 
 
 def _idwt(d):
-    """4C x H x W sub-band array -> the C x 2H x 2W array _dwt maps to it."""
-    c4, h, w = d.shape
-    out = np.empty((c4 // 4, 2 * h, 2 * w), dtype=d.dtype)
-    (out[:, 0::2, 0::2], out[:, 0::2, 1::2],
-     out[:, 1::2, 0::2], out[:, 1::2, 1::2]) = _haar_mix(*np.split(d, 4, axis=0))
+    """4C x ... x H x W sub-band array -> the C x ... x 2H x 2W array _dwt maps to it."""
+    h, w = d.shape[-2:]
+    out = np.empty((d.shape[0] // 4,) + d.shape[1:-2] + (2 * h, 2 * w), dtype=d.dtype)
+    (out[..., 0::2, 0::2], out[..., 0::2, 1::2],
+     out[..., 1::2, 0::2], out[..., 1::2, 1::2]) = _haar_mix(*np.split(d, 4, axis=0))
     return out
 
 
-# the transform is orthonormal, so each op's backward is the other kernel
+# the transform is orthonormal, so each op's adjoint is the other kernel
 def haar_dwt2(x):
-    """One-level orthonormal Haar analysis: C x H x W -> 4C x H/2 x W/2.
+    """One-level orthonormal Haar analysis: C x H x W -> 4C x H/2 x W/2, or
+    C x N x H x W -> 4C x N x H/2 x W/2.
 
     Sub-bands stacked on channels in LL, LH, HL, HH order.  H and W must
     be even (the wavelet downsampling block reflect-pads odd inputs first).
     """
-    c, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"haar_dwt2 needs even spatial extents, got {h}x{w}")
-    return _make(_dwt(x.data), (x,), lambda g: _accumulate(x, _idwt(g)))
+    return fixed_map(x, _dwt, _idwt)
 
 
 def haar_idwt2(x):
-    """Exact inverse of haar_dwt2: 4C x H x W -> C x 2H x 2W."""
+    """Exact inverse of haar_dwt2: 4C x [N x] H x W -> C x [N x] 2H x 2W."""
     if x.data.shape[0] % 4:
         raise ShapeError("haar_idwt2 needs a channel count divisible by 4")
-    return _make(_idwt(x.data), (x,), lambda g: _accumulate(x, _dwt(g)))
+    return fixed_map(x, _idwt, _dwt)
 
 
 class Adapter(Module):

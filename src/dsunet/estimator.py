@@ -10,6 +10,7 @@ import numpy as np
 from .config import ModelConfig, RunConfig
 from .data import Sample
 from .harness import fit_samples, load_or_generate, predict_sample
+from .metrics import mae
 
 
 def _as_samples(X, y=None):
@@ -93,8 +94,6 @@ class DSUNetEstimator:
 
     def score(self, X, y):
         """Mean (1 - MAE) over the given pairs; higher is better."""
-        from .metrics import mae
-
         X, y = list(X), list(y)
         if not X or len(y) != len(X):
             raise ValueError(f"score needs one mask per input and at least one "

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import DSUNet
-from .config import VARIANTS, RunConfig, render_config
+from .config import VARIANTS, RunConfig, parse_config_text, render_config
 from .container import MAGIC_CHECKPOINT, read_container, write_container
 from .data import (
     Sample,
@@ -53,8 +53,6 @@ def load_checkpoint(path):
     returned, not a copy: the raw dict shares them with the model, so writing
     into one changes the other.
     """
-    from .config import parse_config_text
-
     tensors = read_container(path, magic=MAGIC_CHECKPOINT)
     config_text = bytes(tensors["__config__"].astype(np.uint8)).decode("utf-8")
     run = parse_config_text(config_text)

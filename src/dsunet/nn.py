@@ -57,8 +57,12 @@ class Module:
 
 
 def uniform_init(rng, shape, fan_in):
+    """A float64 draw cast to float32, drawn 2**20 values at a time (no whole float64 copy)."""
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    out = np.empty(shape, dtype=np.float32)
+    for part in np.split(out.reshape(-1), range(1 << 20, out.size, 1 << 20)):
+        part[...] = rng.uniform(-bound, bound, size=part.size)
+    return out
 
 
 def seeded_init(rng):

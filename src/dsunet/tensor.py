@@ -4,11 +4,14 @@ The network graph is static, so there is no general autograd: every
 operation builds its output tensor with a closure that knows how to push
 gradients to its parents.  The ops: elementwise ``add``, ``mul``, ``relu``,
 ``sigmoid`` and ``gelu``; ``concat`` and the slicing ``narrow``; ``linear``,
-``conv2d`` and ``bilinear_resize``; ``mean`` and ``amax`` over given axes; and
-``softmax_over_branch``.  Axis 0 is every op's channel axis and the last two
-are its spatial axes: maps are C x H x W, batches C x N x H x W, and
-``linear`` mixes axis 0 per position (a 1 x 1 convolution).  Row-major
-float32; ``mean`` and the finite-difference oracle accumulate in float64.
+``conv2d``, ``bilinear_resize`` and ``channel_resample``; ``mean`` and ``amax``
+over given axes; and ``softmax_over_branch``.  ``fixed_map`` builds the node
+of a parameter-free linear map (``narrow``, ``mean``, the two resamplings and
+the Haar pair of ``blocks``) from its forward and adjoint kernels.  Axis 0 is
+every op's channel axis and the last two are its spatial axes: maps are
+C x H x W, batches C x N x H x W, and ``linear`` mixes axis 0 per position (a
+1 x 1 convolution).  Row-major float32; ``mean`` and the finite-difference
+oracle accumulate in float64.
 
 Every op keeps the dtype its operands share: float32 in training and inference,
 float64 in the gradient-check mode (see :func:`cast_all`).  A constant mixed
@@ -27,6 +30,7 @@ tensor's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +151,10 @@ def _make(data, parents, backward):
     out = Tensor(data)
     dtype = parents[0].dtype
     if out.dtype != dtype and all(p.dtype == dtype for p in parents):
-        op = backward.__qualname__.split(".")[0]
-        raise DTypeError(f"{op}: {dtype} operands gave a {out.dtype} output")
+        caller = sys._getframe(1)  # the op, or fixed_map on behalf of the op
+        if caller.f_code is fixed_map.__code__:
+            caller = caller.f_back
+        raise DTypeError(f"{caller.f_code.co_name}: {dtype} operands gave a {out.dtype} output")
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -170,6 +176,12 @@ def _as_tensor(x, like):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=like.dtype))
+
+
+def fixed_map(x, apply, adjoint):
+    """A parameter-free linear map of ``x``: ``apply`` maps its array forward
+    and ``adjoint`` maps a gradient back (both array -> array)."""
+    return _make(apply(x.data), (x,), lambda g: _accumulate(x, adjoint(g)))
 
 
 # -- elementwise ---------------------------------------------------------
@@ -273,14 +285,12 @@ def concat(tensors, axis=0):
 
 def narrow(x, index):
     """The window ``x.data[index]`` of a basic index (slices and ``...``)."""
-    out_data = x.data[index].copy()
-
-    def backward(g):
+    def adjoint(g):
         gx = np.zeros_like(x.data)
         gx[index] = g
-        _accumulate(x, gx)
+        return gx
 
-    return _make(out_data, (x,), backward)
+    return fixed_map(x, lambda d: d[index].copy(), adjoint)
 
 
 # -- linear / convolution -------------------------------------------------
@@ -443,21 +453,36 @@ def _interp_matrix(n_in, n_out, dtype):
 
 
 def bilinear_resize(x, out_h, out_w):
-    """Corner-aligned bilinear resampling of a C x H x W map (separable:
+    """Corner-aligned bilinear resampling of the two spatial axes (separable:
     out = My @ x @ Mx^T)."""
     if out_h < 1 or out_w < 1:
         raise ConfigError("bilinear_resize target extents must be >= 1")
-    c, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     if out_h == h and out_w == w:
         return x
     my = _interp_matrix(h, out_h, x.dtype)
     mx = _interp_matrix(w, out_w, x.dtype)
-    out_data = np.matmul(my, np.matmul(x.data, mx.T))
+    return fixed_map(x, lambda d: np.matmul(my, np.matmul(d, mx.T)),
+                     lambda g: np.matmul(my.T, np.matmul(g, mx)))
 
-    def backward(g):
-        _accumulate(x, np.matmul(my.T, np.matmul(g, mx)))
 
-    return _make(out_data, (x,), backward)
+def channel_resample(x, out_channels):
+    """Corner-aligned linear interpolation along the channel axis: output
+    channel j samples input coordinate j * (Cin-1) / (Cout-1)."""
+    cin = x.data.shape[0]
+    if out_channels == cin:
+        return x
+    j0, j1, frac = _interp_taps(cin, out_channels)
+    w1 = frac.astype(x.dtype).reshape((-1,) + (1,) * (x.data.ndim - 1))
+    w0 = 1 - w1
+
+    def adjoint(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, j0, g * w0)
+        np.add.at(gx, j1, g * w1)
+        return gx
+
+    return fixed_map(x, lambda d: d[j0] * w0 + d[j1] * w1, adjoint)
 
 
 # -- reductions -----------------------------------------------------------
@@ -466,13 +491,9 @@ def bilinear_resize(x, out_h, out_w):
 def mean(x, axes):
     """Mean over the tuple ``axes``, kept with extent 1, summed in float64."""
     count = math.prod(x.data.shape[a] for a in axes)
-    acc = x.data.sum(axis=axes, keepdims=True, dtype=np.float64) / count
-    out_data = acc.astype(x.dtype)
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g * (1.0 / count), x.data.shape).astype(x.dtype))
-
-    return _make(out_data, (x,), backward)
+    return fixed_map(
+        x, lambda d: (d.sum(axis=axes, keepdims=True, dtype=np.float64) / count).astype(d.dtype),
+        lambda g: np.broadcast_to(g * (1.0 / count), x.data.shape).astype(x.dtype))
 
 
 def amax(x, axes):
@@ -488,9 +509,9 @@ def amax(x, axes):
 
 
 def softmax_over_branch(x):
-    """Per-pixel softmax across the leading (branch) axis of a K x H x W map."""
-    if x.data.ndim != 3 or x.data.shape[0] < 2:
-        raise ShapeError("softmax_over_branch expects K x H x W with K >= 2")
+    """Per-pixel softmax across the leading (branch) axis of a K x ... map."""
+    if x.data.shape[0] < 2:
+        raise ShapeError("softmax_over_branch expects K >= 2 branches on axis 0")
     m = x.data.max(axis=0, keepdims=True)
     e = np.exp(x.data - m)
     y = e / e.sum(axis=0, keepdims=True)

@@ -10,7 +10,6 @@ import re
 import numpy as np
 import pytest
 
-import dsunet.blocks
 import dsunet.losses
 import dsunet.tensor
 
@@ -38,6 +37,6 @@ def received_grads(monkeypatch):
         calls.append((t, np.asarray(g).dtype))
         original(t, g)
 
-    for module in (dsunet.tensor, dsunet.losses, dsunet.blocks):
+    for module in (dsunet.tensor, dsunet.losses):
         monkeypatch.setattr(module, "_accumulate", recording)
     return calls

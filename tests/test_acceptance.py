@@ -37,6 +37,11 @@ def _report(n, label):
     print(f"\nACCEPTANCE {n} ({label}): PASS")
 
 
+def _read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
 # pinned reference configuration for the toy training run (criterion 7);
 # determinism (criterion 9) repeats it bit-for-bit
 def reference_run(out_dir):
@@ -85,7 +90,8 @@ def ablation_tables(work_dir):
         table_path = str(work_dir / f"ablation_{tag}.txt")
         rc = cli_main(["ablate", "--config", cfg_path, "--out", table_path])
         assert rc == 0
-        texts.append(open(table_path, encoding="utf-8").read())
+        with open(table_path, encoding="utf-8") as f:
+            texts.append(f.read())
     return texts
 
 
@@ -246,7 +252,8 @@ def test_criterion_06_frozen_adapter_contract(tmp_path, capsys):
 
     # `dsu params` reports a trainable fraction strictly below one
     cfg_path = str(tmp_path / "cfg.txt")
-    open(cfg_path, "w").write(render_config(run))
+    with open(cfg_path, "w") as f:
+        f.write(render_config(run))
     assert cli_main(["params", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     frac_line = next(l for l in out.splitlines() if "trainable fraction" in l)
@@ -301,9 +308,7 @@ def test_criterion_09_determinism(ref_result, ref_repeat, ablation_tables,
                                   work_dir):
     # checkpoints from the repeated reference run are bit-identical
     repeat_result, first_ckpt = ref_repeat
-    a = open(first_ckpt, "rb").read()
-    b = open(repeat_result.checkpoint_path, "rb").read()
-    assert a == b
+    assert _read_bytes(first_ckpt) == _read_bytes(repeat_result.checkpoint_path)
 
     # exported masks and evaluation reports agree byte for byte
     val_dir = str(work_dir / "val_data")
@@ -314,8 +319,7 @@ def test_criterion_09_determinism(ref_result, ref_repeat, ablation_tables,
     for tag, ckpt in (("a", first_ckpt), ("b", repeat_result.checkpoint_path)):
         out = str(work_dir / f"det_masks_{tag}")
         written = predict(ckpt, val_dir, out)
-        mask_bytes.append({os.path.basename(p): open(p, "rb").read()
-                           for p in written})
+        mask_bytes.append({os.path.basename(p): _read_bytes(p) for p in written})
         report = evaluate_dataset(out, os.path.join(val_dir, "gt"))
         csv_texts.append(report_csv(report))
     assert mask_bytes[0] == mask_bytes[1]
@@ -343,7 +347,7 @@ def test_criterion_10_mask_export(ref_result, work_dir, tmp_path):
         outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
         prob = 1.0 / (1.0 + np.exp(-outputs[-1].data.astype(np.float64)))[0]
         want = np.rint(prob * 255.0).astype(np.uint8).tobytes()
-        raw = open(by_stem[sample.id], "rb").read()
+        raw = _read_bytes(by_stem[sample.id])
         payload = raw.split(b"255\n", 1)[1]
         assert payload == want
 

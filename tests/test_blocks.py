@@ -382,6 +382,17 @@ class TestModelAssembly:
             h.update(hashlib.sha256(p.data.tobytes()).digest())
         assert h.hexdigest() == self.PINNED_DIGESTS[variant]
 
+    def test_chunked_draw_equals_one_draw(self):
+        # a weight spanning several 2**20-value draws, the last one short, gets
+        # the values of one float64 draw cast, and the stream continues alike
+        shape, fan_in = (3, (1 << 19) + 1, 2), 7
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = seeded_init(a)(shape, fan_in)
+        bound = 1.0 / np.sqrt(fan_in)
+        want = b.uniform(-bound, bound, size=shape).astype(np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert a.random() == b.random()
+
     def _variant_b_pyramid(self):
         model = DSUNet(ModelConfig(profile="toy", variant="B", seed=0))
         p = PROFILES["toy"]

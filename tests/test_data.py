@@ -38,15 +38,18 @@ class TestPgmIO:
         p = str(tmp_path / "q.pgm")
         vals = np.array([[0.0, 0.4999 / 255, 0.5001 / 255, 1.0]])
         write_pgm(p, vals)
-        raw = open(p, "rb").read()
+        with open(p, "rb") as f:
+            raw = f.read()
         assert raw[-4:] == bytes([0, 0, 1, 255])
 
     def test_header_layout(self, tmp_path):
         p = str(tmp_path / "h.pgm")
         write_pgm(p, np.zeros((3, 5)))
-        head = open(p, "rb").read().split(b"\n")[0:1]
+        with open(p, "rb") as f:
+            head = f.read().split(b"\n")[0:1]
         assert head[0] == b"P5"
-        tokens = open(p, "rb").read().split(None, 4)
+        with open(p, "rb") as f:
+            tokens = f.read().split(None, 4)
         assert tokens[0] == b"P5"
         assert int(tokens[1]) == 5  # width
         assert int(tokens[2]) == 3  # height
@@ -62,26 +65,30 @@ class TestPgmIO:
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "bad.pgm")
-        open(p, "wb").write(b"P6\n2 2\n255\n" + bytes(12))
+        with open(p, "wb") as f:
+            f.write(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(PgmHeaderError):
             read_pgm(p)
 
     def test_bad_maxval(self, tmp_path):
         p = str(tmp_path / "mv.pgm")
-        open(p, "wb").write(b"P5\n2 2\n65535\n" + bytes(8))
+        with open(p, "wb") as f:
+            f.write(b"P5\n2 2\n65535\n" + bytes(8))
         with pytest.raises(PgmMaxvalError):
             read_pgm(p)
 
     def test_truncated_payload(self, tmp_path):
         p = str(tmp_path / "t.pgm")
-        open(p, "wb").write(b"P5\n4 4\n255\n" + bytes(7))
+        with open(p, "wb") as f:
+            f.write(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(PgmTruncatedError):
             read_pgm(p)
 
     @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"-2 -3"])
     def test_empty_or_negative_extents(self, tmp_path, extents):
         p = str(tmp_path / "e.pgm")
-        open(p, "wb").write(b"P5\n" + extents + b"\n255\n" + bytes(6))
+        with open(p, "wb") as f:
+            f.write(b"P5\n" + extents + b"\n255\n" + bytes(6))
         with pytest.raises(PgmHeaderError, match="image"):
             read_pgm(p)
 
@@ -221,7 +228,8 @@ class TestDatasetLayout:
 
         for sub in ("images-main", "images-aux", "gt"):
             assert os.path.isdir(os.path.join(root, sub))
-        manifest = open(os.path.join(root, "manifest.txt")).read().strip().split("\n")
+        with open(os.path.join(root, "manifest.txt")) as f:
+            manifest = f.read().strip().split("\n")
         assert manifest == [f"sod_{s:06d} {s}" for s in (10, 11, 12)]
 
         back = load_dataset(root)

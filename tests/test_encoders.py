@@ -129,7 +129,8 @@ class TestContainer:
     def test_layout_prefix(self, tmp_path):
         p = str(tmp_path / "b.dsuf")
         write_container(p, {"x": np.zeros((2, 3), dtype=np.float32)})
-        raw = open(p, "rb").read()
+        with open(p, "rb") as f:
+            raw = f.read()
         assert raw[:4] == b"DSUF"
         assert int.from_bytes(raw[4:8], "little") == 1  # version
         assert int.from_bytes(raw[8:12], "little") == 1  # tensor count
@@ -143,9 +144,11 @@ class TestContainer:
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "c.dsuf")
         write_container(p, self._arrays())
-        raw = bytearray(open(p, "rb").read())
+        with open(p, "rb") as f:
+            raw = bytearray(f.read())
         raw[:4] = b"NOPE"
-        open(p, "wb").write(bytes(raw))
+        with open(p, "wb") as f:
+            f.write(bytes(raw))
         with pytest.raises(BadMagicError):
             read_container(p)
 
@@ -160,17 +163,21 @@ class TestContainer:
     def test_bad_version(self, tmp_path):
         p = str(tmp_path / "e.dsuf")
         write_container(p, self._arrays())
-        raw = bytearray(open(p, "rb").read())
+        with open(p, "rb") as f:
+            raw = bytearray(f.read())
         raw[4:8] = (99).to_bytes(4, "little")
-        open(p, "wb").write(bytes(raw))
+        with open(p, "wb") as f:
+            f.write(bytes(raw))
         with pytest.raises(BadVersionError):
             read_container(p)
 
     def test_truncation(self, tmp_path):
         p = str(tmp_path / "f.dsuf")
         write_container(p, self._arrays())
-        raw = open(p, "rb").read()
-        open(p, "wb").write(raw[:-5])
+        with open(p, "rb") as f:
+            raw = f.read()
+        with open(p, "wb") as f:
+            f.write(raw[:-5])
         with pytest.raises(TruncatedError):
             read_container(p)
 

@@ -273,7 +273,8 @@ class TestTraining:
         run = tiny_run(str(tmp_path / "run"))
         res = train(run)
         assert os.path.exists(res.checkpoint_path)
-        lines = open(res.log_path).read().strip().split("\n")
+        with open(res.log_path) as f:
+            lines = f.read().strip().split("\n")
         assert lines[0] == "epoch,bce1,iou1,level1,bce2,iou2,level2,bce3,iou3,level3,total"
         assert len(lines) == 1 + run.epochs
         row = lines[1].split(",")
@@ -469,7 +470,8 @@ class TestPredictExport:
         for sample in load_dataset(data):
             pred = predict_sample(model, sample)
             path = os.path.join(out, f"{sample.id}.pgm")
-            raw = open(path, "rb").read()
+            with open(path, "rb") as f:
+                raw = f.read()
             payload = raw.split(b"255\n", 1)[1]
             want = np.rint(pred * 255.0).astype(np.uint8).tobytes()
             assert payload == want
@@ -506,7 +508,8 @@ class TestCLI:
     def _config(self, tmp_path, **overrides):
         run = tiny_run(str(tmp_path / "run"), **overrides)
         path = str(tmp_path / "cfg.txt")
-        open(path, "w").write(render_config(run))
+        with open(path, "w") as f:
+            f.write(render_config(run))
         return path
 
     def test_train_eval_round_trip(self, tmp_path, capsys):
@@ -521,7 +524,8 @@ class TestCLI:
         assert cli_main(["eval", "--pred", str(tmp_path / "pred"),
                          "--gt", os.path.join(data, "gt"),
                          "--report", report]) == 0
-        header = open(report).readline().strip()
+        with open(report) as f:
+            header = f.readline().strip()
         assert header == "image,S,Fadp,Fmean,Eadp,Emean,MAE"
 
     def test_params_command(self, tmp_path, capsys):
@@ -572,7 +576,8 @@ class TestCLI:
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path):
         bad = str(tmp_path / "bad.txt")
-        open(bad, "w").write("momentum = 0.9\n")
+        with open(bad, "w") as f:
+            f.write("momentum = 0.9\n")
         from dsunet.tensor import ConfigError
 
         with pytest.raises(ConfigError):

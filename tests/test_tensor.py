@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsunet import tensor
+from dsunet.blocks import haar_dwt2, haar_idwt2
 from dsunet.config import ModelConfig
 from dsunet.losses import total_loss
 from dsunet.tensor import (
@@ -22,8 +23,10 @@ from dsunet.tensor import (
     amax,
     bilinear_resize,
     cast_all,
+    channel_resample,
     concat,
     conv2d,
+    fixed_map,
     gelu,
     grad_check,
     linear,
@@ -415,9 +418,10 @@ class TestSoftmaxOverBranch:
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(5)
-        out = softmax_over_branch(Tensor(rng.standard_normal((5, 3, 3)))).data
-        assert np.all(out > 0) and np.all(out < 1)
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
+        for shape in ((5, 3, 3), (5, 2, 3, 3)):
+            out = softmax_over_branch(Tensor(rng.standard_normal(shape))).data
+            assert np.all(out > 0) and np.all(out < 1)
+            np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
 
     def test_requires_two_branches(self):
         with pytest.raises(ShapeError):
@@ -432,6 +436,42 @@ class TestSoftmaxOverBranch:
             return out * out  # non-uniform upstream gradient
 
         assert grad_check(fn, [x]) < 1e-4
+
+
+# (C x H x W input shape, map): the parameter-free linear maps built on
+# fixed_map, each also run with a batch axis of 3 after C
+_FIXED_MAPS = {
+    "narrow": ((4, 5, 6), lambda x: narrow(x, np.s_[1:3, ..., 1:4, :2])),
+    "mean": ((3, 4, 5), lambda x: mean(x, (-2, -1))),
+    "bilinear_resize": ((2, 4, 5), lambda x: bilinear_resize(x, 7, 3)),
+    "channel_resample": ((5, 3, 4), lambda x: channel_resample(x, 9)),
+    "haar_dwt2": ((3, 4, 6), haar_dwt2),
+    "haar_idwt2": ((8, 2, 3), haar_idwt2),
+}
+
+
+class TestFixedMaps:
+    @pytest.mark.parametrize("batch", [0, 3], ids=["CHW", "CNHW"])
+    @pytest.mark.parametrize("name", list(_FIXED_MAPS))
+    def test_adjoint_and_batch_axis(self, name, batch):
+        shape, op = _FIXED_MAPS[name]
+        if batch:
+            shape = shape[:1] + (batch,) + shape[1:]
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = op(x)
+        y = rng.standard_normal(out.shape)
+        out.backward(y)
+        # the backward pass is the adjoint: <A x, y> = <x, A^T y>
+        lhs, rhs = np.vdot(out.data, y), np.vdot(x.data, x.grad)
+        assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(out.data), np.abs(y))
+        # a batch is the per-map results stacked on axis 1, bit for bit
+        for n in range(batch):
+            xn = Tensor(x.data[:, n].copy(), requires_grad=True)
+            on = op(xn)
+            on.backward(y[:, n].copy())
+            assert on.data.tobytes() == out.data[:, n].tobytes()
+            assert xn.grad.tobytes() == x.grad[:, n].tobytes()
 
 
 class TestGradCheckHarness:
@@ -513,6 +553,7 @@ _OP_CASES = {
                        lambda x, w, b: conv2d(x, w, b, ConvSpec(
                            4, 6, (3, 3), stride=2, dilation=2, padding=2, groups=2))),
     "bilinear_resize": ([(2, 3, 4)], lambda x: bilinear_resize(x, 5, 7)),
+    "channel_resample": ([(5, 3, 3)], lambda x: channel_resample(x, 7)),
     "mean": ([(3, 4, 4)], lambda x: mean(x, (-2, -1))),
     "amax": ([(3, 4, 4)], lambda x: amax(x, (0,))),
     "softmax_over_branch": ([(3, 4, 4)], softmax_over_branch),
@@ -544,6 +585,8 @@ class TestDtypeContract:
         x = Tensor(np.ones((2, 2), dtype=np.float32))
         with pytest.raises(DTypeError, match="_leaky_op: float32 operands gave a float64"):
             _leaky_op(x)
+        with pytest.raises(DTypeError, match="_leaky_map: float32 operands gave a float64"):
+            _leaky_map(x)
 
     def test_accumulate_rejects_a_changed_gradient_dtype(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
@@ -570,3 +613,7 @@ def _leaky_backward_op(x):
         _accumulate(x, g.astype(np.float64))
 
     return _make(x.data * 2.0, (x,), backward)
+
+
+def _leaky_map(x):
+    return fixed_map(x, lambda d: d.astype(np.float64), lambda g: g)
