@@ -288,6 +288,8 @@ class DSUNet(Module):
         ]
 
         levels = FUSED_LEVELS[config.variant]
+        # the pyramid maps forward_pyramid reads: s1..s4, v and the fused ones
+        self.pyramid_names = tuple(dict.fromkeys(LEVELS + ("v",) + tuple(levels.values())))
         self.fusions = []
         for i, tokens in levels.items():
             suffix = str(i + 1) if len(levels) > 1 else ""
@@ -316,10 +318,10 @@ class DSUNet(Module):
 
     def forward_pyramid(self, pyramid):
         """Logits (d1, d2, d3), each 1 x H x W, coarsest decoder stage first,
-        from a name -> Tensor pyramid; s1..s4, v and the token maps the variant
-        fuses must be there in the profile's shapes."""
-        names = LEVELS + ("v",) + tuple(tokens for _, tokens, _, _ in self.fusions)
-        self.profile.check({name: pyramid.get(name) for name in names})
+        from a name -> Tensor pyramid; the maps named in ``pyramid_names``
+        (s1..s4, v and the token maps the variant fuses) must be there in the
+        profile's shapes, and no other map is read."""
+        self.profile.check({name: pyramid.get(name) for name in self.pyramid_names})
         adapted = [ad(pyramid[name]) for ad, name in zip(self.adapters, LEVELS)]
 
         fused = list(adapted)

@@ -223,10 +223,13 @@ def apply_flip(sample, flip_h, flip_v):
 
 
 def augment_flip(sample, rng):
-    """Independent vertical and horizontal flips, each with probability 0.5."""
+    """Independent vertical and horizontal flips, each with probability 0.5.
+
+    Returns ``(flipped sample, flip_h, flip_v)``.
+    """
     flip_v = bool(rng.random() < 0.5)
     flip_h = bool(rng.random() < 0.5)
-    return apply_flip(sample, flip_h, flip_v)
+    return apply_flip(sample, flip_h, flip_v), flip_h, flip_v
 
 
 # -- dataset directory layout ----------------------------------------------

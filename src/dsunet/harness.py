@@ -97,18 +97,51 @@ def load_or_generate(run):
     return train, val
 
 
-def _train_step(model, sample, scale, where):
-    """One sample's forward, finiteness check, loss and backward.
+# Upper bound on the bytes of frozen feature pyramids that one fit_samples
+# call keeps for reuse.  The criterion-7 reference run (toy, variant full)
+# needs about 38 MB: 64 samples x 4 flip states x 0.15 MB.  One large-profile
+# pyramid of variant full holds about 14 MB.
+_PYRAMID_CACHE_BYTES = 64 << 20
+
+
+def _frozen_pyramid(model, sample, key, cache):
+    """The pyramid maps ``model`` reads (``model.pyramid_names``) for the
+    flipped ``sample``.
+
+    The encoders are frozen, so a pyramid depends only on the sample and its
+    flip state, the ``key``: it is taken from ``cache`` when there, and else
+    encoded and kept while the cache stays within ``_PYRAMID_CACHE_BYTES``.
+    A full cache evicts nothing, so later keys are encoded on every step.
+    A trainable encoder would break the premise; the cached pyramid's graph
+    is then released by its first backward, and the next one raises.
+    """
+    pyramid = cache.get(key)
+    if pyramid is None:
+        encoded = model.encode(Tensor(sample.image_main), Tensor(sample.image_aux))
+        pyramid = {name: encoded[name] for name in model.pyramid_names}
+        # every pyramid of one run has the same shapes, hence the same size
+        nbytes = sum({id(t): t.data.nbytes for t in pyramid.values()}.values())
+        if (len(cache) + 1) * nbytes <= _PYRAMID_CACHE_BYTES:
+            cache[key] = pyramid
+    return pyramid
+
+
+def _train_step(model, pyramid, gt, scale, where):
+    """One sample's decoder forward, finiteness check, loss and backward,
+    from its pyramid and mask ``gt``.
 
     Returns the loss row (``losses.ROW``).  Non-finite logits raise
-    TrainingDiverged before the loss reads them.  The sample's graph is
-    referenced only from here, so it is freed when this returns, before the
-    next forward builds another.
+    TrainingDiverged before the loss reads them.  ``backward`` frees the
+    sample's graph as it consumes it: each intermediate map, gradient and
+    backward step is dropped once that step has run, and the logits when
+    this returns, before the next forward builds another graph.  The
+    pyramid's maps are leaves no op writes into, so a cached pyramid is the
+    same on every step that reads it.
     """
-    outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
+    outputs = model.forward_pyramid(pyramid)
     if not all(np.isfinite(d.data).all() for d in outputs):
         raise TrainingDiverged(f"non-finite logits at {where}")
-    loss, row = total_loss(outputs, sample.gt, model.config)
+    loss, row = total_loss(outputs, gt, model.config)
     loss.backward(np.asarray(scale, dtype=loss.dtype))
     return row
 
@@ -129,7 +162,9 @@ def fit_samples(run: RunConfig, samples, progress=None):
     """Deterministic in-memory training loop over the given samples.
 
     Returns (model, optimizer, epoch_rows) and writes nothing.  Samples that
-    :func:`_check_samples` rejects raise before the model is built.
+    :func:`_check_samples` rejects raise before the model is built.  Each
+    (sample, flip) pair is encoded once per call, within a fixed byte budget
+    (:func:`_frozen_pyramid`); the results equal encoding on every step.
     """
     _check_samples(run, samples)
     model = DSUNet(run.model)
@@ -138,6 +173,7 @@ def fit_samples(run: RunConfig, samples, progress=None):
     shuffle_rng = np.random.default_rng(run.seed + 1)
     augment_rng = np.random.default_rng(run.seed + 2)
 
+    pyramids = {}  # (sample index, flip_h, flip_v) -> pyramid maps the model reads
     epoch_rows = []
     n = len(samples)
     for epoch in range(run.epochs):
@@ -148,8 +184,9 @@ def fit_samples(run: RunConfig, samples, progress=None):
             optimizer.zero_grad()
             scale = 1.0 / len(batch_idx)
             for i in batch_idx:
-                sample = augment_flip(samples[i], augment_rng)
-                sums += _train_step(model, sample, scale,
+                sample, flip_h, flip_v = augment_flip(samples[i], augment_rng)
+                pyramid = _frozen_pyramid(model, sample, (i, flip_h, flip_v), pyramids)
+                sums += _train_step(model, pyramid, sample.gt, scale,
                                     f"epoch {epoch + 1}, step {start // run.batch + 1}")
             optimizer.step()
         means = sums / n

@@ -87,7 +87,14 @@ class Tensor:
         return self.data.dtype
 
     def backward(self, grad=None):
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        The graph is released as it is consumed: once a node's backward step
+        has run, its gradient, its step and its links to its parents are
+        dropped, so each intermediate map and gradient is freed as soon as
+        nothing else holds it.  Leaves keep their gradients.  A second
+        ``backward`` through a released node raises ``RuntimeError``.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         else:
@@ -112,9 +119,13 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         _accumulate(self, grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:  # the root first; popping drops the list's reference
+            node = topo.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _released
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -133,6 +144,12 @@ class Tensor:
 
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
+
+
+def _released(g):
+    """The backward step of a node whose graph an earlier backward released."""
+    raise RuntimeError("backward through a graph that an earlier backward "
+                       "already consumed and released")
 
 
 def _accumulate(t, g):
@@ -387,7 +404,10 @@ def conv2d(x, weight, bias, spec):
     oh, ow = spec.out_size(h, w)
     taps = _taps(kh, kw, spec.stride, spec.dilation, oh, ow)
     pad = spec.padding
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    xp = xd
+    if pad:  # zeros and a copy: np.pad's generic path costs more on small maps
+        xp = np.zeros(xd.shape[:2] + (h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+        xp[..., pad:pad + h, pad:pad + w] = xd
     cpg, npix = cin // groups, n * oh * ow
     per_block = max(1, _BLOCK_BYTES // (cpg * kh * kw * npix * xd.itemsize))
     blocks = [(slice(g, g + per_block), slice(g * cpg, (g + per_block) * cpg))
@@ -418,7 +438,12 @@ def conv2d(x, weight, bias, spec):
             if gw is not None:
                 np.matmul(gm[grp], columns(chans).transpose(0, 2, 1), out=gw[grp])
             if gxp is not None:
-                gcols = np.matmul(wm[grp].transpose(0, 2, 1), gm[grp])
+                wt = wm[grp].transpose(0, 2, 1)
+                # one output channel per group (depthwise): the product is an
+                # outer product, which a broadcast multiply does faster than
+                # matmul's non-BLAS loop, with equal sums once added below
+                gcols = (wt * gm[grp] if wt.shape[-1] == 1
+                         else np.matmul(wt, gm[grp]))
                 gcols = gcols.reshape(-1, kh, kw, n, oh, ow)
                 for i, j, idx in taps:
                     gxp[chans][idx] += gcols[:, i, j]

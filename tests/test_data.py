@@ -215,9 +215,12 @@ class TestAugmentation:
 
     def test_augment_deterministic_with_seeded_rng(self):
         s = generate_sample(3, "sod", "toy")
-        a = augment_flip(s, np.random.default_rng(11))
-        b = augment_flip(s, np.random.default_rng(11))
+        a, *flips_a = augment_flip(s, np.random.default_rng(11))
+        b, *flips_b = augment_flip(s, np.random.default_rng(11))
         np.testing.assert_array_equal(a.gt, b.gt)
+        assert flips_a == flips_b
+        # the returned (flip_h, flip_v) state is the flip that was applied
+        np.testing.assert_array_equal(a.image_aux, apply_flip(s, *flips_a).image_aux)
 
 
 class TestDatasetLayout:

@@ -14,7 +14,7 @@ from dsunet.blocks import DSUNet
 from dsunet.cli import main as cli_main
 from dsunet.config import ModelConfig, RunConfig, parse_config_file, render_config
 from dsunet.container import MAGIC_CHECKPOINT, read_container, write_container
-from dsunet.data import generate_sample, read_pgm, write_dataset
+from dsunet.data import augment_flip, generate_sample, read_pgm, write_dataset
 from dsunet.harness import (
     TrainingDiverged,
     ablate,
@@ -28,6 +28,7 @@ from dsunet.harness import (
     save_checkpoint,
     train,
 )
+from dsunet.losses import ROW, total_loss
 from dsunet.optim import AdamW, NonFiniteGradient
 from dsunet.tensor import ShapeError, Tensor
 
@@ -309,7 +310,7 @@ class TestTraining:
             self, monkeypatch):
         losses, alive_at_forward = [], []
         real_total_loss = dsunet.harness.total_loss
-        real_forward = DSUNet.forward
+        real_forward = DSUNet.forward_pyramid
 
         def recording_total_loss(*args, **kwargs):
             loss, row = real_total_loss(*args, **kwargs)
@@ -321,7 +322,7 @@ class TestTraining:
             return real_forward(self, *args, **kwargs)
 
         monkeypatch.setattr(dsunet.harness, "total_loss", recording_total_loss)
-        monkeypatch.setattr(DSUNet, "forward", checking_forward)
+        monkeypatch.setattr(DSUNet, "forward_pyramid", checking_forward)
         samples = [generate_sample(20 + i, "sod", "toy") for i in range(2)]
         fit_samples(tiny_run("unused"), samples)
         assert alive_at_forward == [[], [False]]
@@ -431,6 +432,129 @@ class TestTraining:
                 tiny_run("unused", data_dir=data, n_train=n_train, n_val=n_val))
             assert (len(train_samples), len(val_samples)) == kept
             assert len(reads) == 7 * sum(kept)
+
+
+def _reference_fit(run, samples):
+    """fit_samples without the pyramid cache: every step runs the whole model
+    on the flipped images."""
+    model = DSUNet(run.model)
+    optimizer = AdamW(model.trainable_parameters(), lr=run.lr,
+                      weight_decay=run.weight_decay)
+    shuffle_rng = np.random.default_rng(run.seed + 1)
+    augment_rng = np.random.default_rng(run.seed + 2)
+    rows = []
+    for _ in range(run.epochs):
+        order = shuffle_rng.permutation(len(samples))
+        sums = np.zeros(len(ROW))
+        for start in range(0, len(samples), run.batch):
+            batch_idx = order[start : start + run.batch]
+            optimizer.zero_grad()
+            for i in batch_idx:
+                sample, _, _ = augment_flip(samples[i], augment_rng)
+                outputs = model(Tensor(sample.image_main), Tensor(sample.image_aux))
+                loss, row = total_loss(outputs, sample.gt, model.config)
+                loss.backward(np.asarray(1.0 / len(batch_idx), dtype=loss.dtype))
+                sums += row
+            optimizer.step()
+        rows.append(sums / len(samples))
+    return model, rows
+
+
+def _result_bytes(model, rows):
+    return ([(name, p.data.tobytes()) for name, p in model.named_parameters().items()],
+            [r.tobytes() for r in rows])
+
+
+class TestPyramidCache:
+    """fit_samples encodes each (sample, flip) once and trains as if it
+    encoded on every step."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """(input bytes, pyramid, copies of its arrays) per DSUNet.encode call."""
+        calls = []
+        real = DSUNet.encode
+
+        def spy(self, image_main, image_aux):
+            pyramid = real(self, image_main, image_aux)
+            calls.append((image_main.data.tobytes() + image_aux.data.tobytes(), pyramid,
+                          {name: t.data.copy() for name, t in pyramid.items()}))
+            return pyramid
+
+        monkeypatch.setattr(DSUNet, "encode", spy)
+        return calls
+
+    @pytest.fixture
+    def flips(self, monkeypatch):
+        """(sample id, flip_h, flip_v) per training step."""
+        keys = []
+        real = dsunet.harness.augment_flip
+
+        def spy(sample, rng):
+            out = real(sample, rng)
+            keys.append((sample.id,) + out[1:])
+            return out
+
+        monkeypatch.setattr(dsunet.harness, "augment_flip", spy)
+        return keys
+
+    def _samples(self, n=3):
+        return [generate_sample(40 + i, "sod", "toy") for i in range(n)]
+
+    def test_one_encode_per_sample_and_flip(self, encodes, flips):
+        fit_samples(tiny_run("unused", epochs=6), self._samples())
+        assert len(flips) == 18 and len(set(flips)) < len(flips)
+        assert len(encodes) == len(set(flips))
+        assert len({inputs for inputs, _, _ in encodes}) == len(encodes)
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
+    def test_equals_encoding_on_every_step(self, variant, encodes, flips):
+        run = tiny_run("unused", epochs=4, model=ModelConfig(
+            profile="toy", variant=variant, seed=0))
+        samples = self._samples()
+        model, _, rows = fit_samples(run, samples)
+        assert len(encodes) < len(flips)  # some steps read a cached pyramid
+        assert _result_bytes(model, rows) == _result_bytes(*_reference_fit(run, samples))
+
+    def test_no_op_writes_into_a_cached_map(self, encodes):
+        fit_samples(tiny_run("unused", epochs=4), self._samples())
+        for _, pyramid, copies in encodes:
+            for name, t in pyramid.items():
+                assert t.data.tobytes() == copies[name].tobytes(), name
+
+    @pytest.mark.parametrize("entries", [0, 2])
+    def test_a_full_budget_changes_no_result(self, entries, encodes, flips,
+                                             monkeypatch):
+        run = tiny_run("unused", epochs=4)
+        samples = self._samples()
+        want = _result_bytes(*_reference_fit(run, samples))
+        model = DSUNet(run.model)
+        s = samples[0]
+        pyramid = model.encode(Tensor(s.image_main), Tensor(s.image_aux))
+        entry = sum(pyramid[name].data.nbytes for name in model.pyramid_names)
+        encodes.clear()
+        monkeypatch.setattr(dsunet.harness, "_PYRAMID_CACHE_BYTES", entries * entry)
+        model, _, rows = fit_samples(run, samples)
+        # the first `entries` keys are kept; every other step encodes
+        kept = list(dict.fromkeys(flips))[:entries]
+        assert len(encodes) == entries + sum(1 for k in flips if k not in kept)
+        assert _result_bytes(model, rows) == want
+
+    def test_divergence_on_a_later_step_names_it(self, monkeypatch):
+        calls = []
+        real = DSUNet.forward_pyramid
+
+        def nan_on_sixth(self, pyramid):
+            outputs = real(self, pyramid)
+            calls.append(pyramid)
+            if len(calls) == 6:
+                outputs[0].data[:] = np.nan
+            return outputs
+
+        # 3 samples in batches of 2: the sixth step is epoch 2's second batch
+        monkeypatch.setattr(DSUNet, "forward_pyramid", nan_on_sixth)
+        with pytest.raises(TrainingDiverged, match="epoch 2, step 2$"):
+            fit_samples(tiny_run("unused", epochs=3), self._samples())
 
 
 class TestAblation:
