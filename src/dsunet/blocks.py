@@ -288,8 +288,8 @@ class DSUNet(Module):
         ]
 
         levels = FUSED_LEVELS[config.variant]
-        # the pyramid maps forward_pyramid reads: s1..s4, v and the fused ones
-        self.pyramid_names = tuple(dict.fromkeys(LEVELS + ("v",) + tuple(levels.values())))
+        # the maps encode builds and forward_pyramid reads
+        self.pyramid_names = LEVELS + tuple(dict.fromkeys(levels.values()))
         self.fusions = []
         for i, tokens in levels.items():
             suffix = str(i + 1) if len(levels) > 1 else ""
@@ -307,19 +307,22 @@ class DSUNet(Module):
     # -- forward ---------------------------------------------------------
 
     def encode(self, image_main, image_aux):
-        """The pyramid as a name -> Tensor dict: s1..s4 from the pyramid
-        encoder, then v and v_tap1..v_tap4 from the token encoder (v is
-        v_tap4); a DSUF feature file holds the same names."""
+        """The name -> Tensor dict of exactly ``pyramid_names`` (what a DSUF file
+        holds) after checking both images: s1..s4, then the token maps the variant
+        fuses; the token encoder runs only for those, so never for variant A."""
         self.profile.check({"image_main": image_main, "image_aux": image_aux})
         pyramid = dict(zip(LEVELS, self.hiera(image_main)))
-        pyramid["v"], taps = self.vit(image_aux)
-        pyramid.update((f"v_tap{i + 1}", t) for i, t in enumerate(taps))
+        tokens = self.pyramid_names[len(LEVELS):]
+        if tokens:
+            taps = self.vit(image_aux)
+            named = dict(((f"v_tap{i + 1}", t) for i, t in enumerate(taps)), v=taps[-1])
+            pyramid.update((name, named[name]) for name in tokens)
         return pyramid
 
     def forward_pyramid(self, pyramid):
         """Logits (d1, d2, d3), each 1 x H x W, coarsest decoder stage first,
         from a name -> Tensor pyramid; the maps named in ``pyramid_names``
-        (s1..s4, v and the token maps the variant fuses) must be there in the
+        (s1..s4 and the token maps the variant fuses) must be there in the
         profile's shapes, and no other map is read."""
         self.profile.check({name: pyramid.get(name) for name in self.pyramid_names})
         adapted = [ad(pyramid[name]) for ad, name in zip(self.adapters, LEVELS)]

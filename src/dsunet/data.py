@@ -207,14 +207,14 @@ def generate_sample(rng_seed, mode, profile):
 
 
 def apply_flip(sample, flip_h, flip_v):
-    """Flip both image views and the mask together."""
+    """Flip both image views and the mask together, as views (no copy)."""
     def fl(a, spatial_axes):
         out = a
         if flip_v:
             out = np.flip(out, axis=spatial_axes[0])
         if flip_h:
             out = np.flip(out, axis=spatial_axes[1])
-        return np.ascontiguousarray(out)
+        return out
 
     if not (flip_h or flip_v):
         return sample

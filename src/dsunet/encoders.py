@@ -43,11 +43,8 @@ class ToyHiera(Module):
 
 
 class ToyViT(Module):
-    """Patch embedding plus a short stack of token-mixing blocks.
-
-    One tap is exposed after each block (four blocks total) for the
-    per-level fusion variant.
-    """
+    """Patch embedding plus four token-mixing blocks; ``forward`` returns the
+    map after each block (the taps variant B fuses), the token map v last."""
 
     N_BLOCKS = 4
 
@@ -71,7 +68,7 @@ class ToyViT(Module):
             x = x + relu(dw(x))
             x = x + gelu(pw(x))
             taps.append(x)
-        return x, taps
+        return taps
 
 
 def write_feature_file(path, named_tensors):
@@ -83,11 +80,9 @@ def write_feature_file(path, named_tensors):
 
 
 def load_pyramid(path, profile: Profile):
-    """Read a DSUF file as the name -> Tensor pyramid that ``DSUNet.encode``
-    returns: ShapeError unless it holds s1..s4 and v, and every array in it
-    has the profile's shape under a name the profile knows (v_tap1..v_tap4
-    included)."""
+    """Read a DSUF file as the name -> Tensor pyramid ``DSUNet.encode`` returns:
+    ShapeError unless each array has the profile's shape under a name it knows.
+    A missing map is reported by its reader, ``DSUNet.forward_pyramid``."""
     arrays = read_container(path, magic=MAGIC_FEATURES)
-    profile.check({**dict.fromkeys(profile.pyramid_shapes()), **arrays},
-                  f"feature file {path}: ")
+    profile.check(arrays, f"feature file {path}: ")
     return {name: Tensor(array) for name, array in arrays.items()}

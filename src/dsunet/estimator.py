@@ -73,10 +73,12 @@ class DSUNetEstimator:
         run = self._run_config()
         if X is not None:
             X = list(X)
-            n_masks = 0 if y is None else len(y)
+            is_sample = [isinstance(item, Sample) for item in X]
             # Samples carry their masks; image pairs take theirs from y
-            if n_masks != len(X) and (y is not None or not all(
-                    isinstance(item, Sample) for item in X)):
+            if y is not None and any(is_sample):
+                raise ValueError("fit got masks in y for Samples, which carry their own")
+            n_masks = 0 if y is None else len(y)
+            if n_masks != len(X) and not (y is None and all(is_sample)):
                 raise ValueError(f"fit got {len(X)} training inputs but "
                                  f"{n_masks} masks in y")
             samples = _as_samples(X, y)

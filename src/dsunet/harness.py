@@ -105,8 +105,8 @@ _PYRAMID_CACHE_BYTES = 64 << 20
 
 
 def _frozen_pyramid(model, sample, key, cache):
-    """The pyramid maps ``model`` reads (``model.pyramid_names``) for the
-    flipped ``sample``.
+    """``model.encode``'s pyramid, the maps the model reads, for the flipped
+    ``sample``.
 
     The encoders are frozen, so a pyramid depends only on the sample and its
     flip state, the ``key``: it is taken from ``cache`` when there, and else
@@ -117,10 +117,9 @@ def _frozen_pyramid(model, sample, key, cache):
     """
     pyramid = cache.get(key)
     if pyramid is None:
-        encoded = model.encode(Tensor(sample.image_main), Tensor(sample.image_aux))
-        pyramid = {name: encoded[name] for name in model.pyramid_names}
+        pyramid = model.encode(Tensor(sample.image_main), Tensor(sample.image_aux))
         # every pyramid of one run has the same shapes, hence the same size
-        nbytes = sum({id(t): t.data.nbytes for t in pyramid.values()}.values())
+        nbytes = sum(t.data.nbytes for t in pyramid.values())
         if (len(cache) + 1) * nbytes <= _PYRAMID_CACHE_BYTES:
             cache[key] = pyramid
     return pyramid

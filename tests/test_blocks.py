@@ -16,6 +16,7 @@ from dsunet.blocks import (
     haar_idwt2,
 )
 from dsunet.config import PROFILES, ModelConfig
+from dsunet.encoders import ToyViT
 from dsunet.losses import total_loss
 from dsunet.nn import seeded_init
 from dsunet.optim import AdamW
@@ -297,6 +298,40 @@ class TestModelAssembly:
         outs = model.forward(main, aux)
         for d in outs:
             assert d.shape == (1, p.main_size, p.main_size)
+
+    # the maps each variant's encode returns: s1..s4, then the token maps it fuses
+    ENCODED = {
+        "A": ["s1", "s2", "s3", "s4"],
+        "B": ["s1", "s2", "s3", "s4", "v_tap1", "v_tap2", "v_tap3", "v_tap4"],
+        "C": ["s1", "s2", "s3", "s4", "v"],
+        "full": ["s1", "s2", "s3", "s4", "v"],
+    }
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
+    def test_encode_builds_exactly_the_maps_the_variant_reads(self, variant,
+                                                             monkeypatch):
+        calls = []
+        real = ToyViT.__call__
+
+        def spy(self, image):
+            calls.append(image)
+            return real(self, image)
+
+        monkeypatch.setattr(ToyViT, "__call__", spy)
+        model = DSUNet(ModelConfig(profile="toy", variant=variant, seed=0))
+        p = PROFILES["toy"]
+        rng = np.random.default_rng(0)
+        main = Tensor(rng.random((3, p.main_size, p.main_size)).astype(np.float32))
+        aux = Tensor(rng.random((3, p.aux_size, p.aux_size)).astype(np.float32))
+        pyramid = model.encode(main, aux)
+        assert list(pyramid) == list(model.pyramid_names) == self.ENCODED[variant]
+        # variant A fuses no token map, so the token encoder never runs
+        assert len(calls) == (0 if variant == "A" else 1)
+        p.check(pyramid)
+        taps = real(model.vit, aux)
+        want = dict(v=taps[-1], **{f"v_tap{i + 1}": t for i, t in enumerate(taps)})
+        for name in self.ENCODED[variant][4:]:
+            assert pyramid[name].data.tobytes() == want[name].data.tobytes(), name
 
     @pytest.mark.parametrize("variant", ["full", "A", "B", "C"])
     def test_float32_forward_loss_backward(self, variant, received_grads):

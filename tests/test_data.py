@@ -209,6 +209,16 @@ class TestAugmentation:
         f = apply_flip(apply_flip(s, True, True), True, True)
         np.testing.assert_array_equal(f.gt, s.gt)
 
+    @pytest.mark.parametrize("flips", [(True, False), (False, True), (True, True)])
+    def test_flips_are_views_of_the_sample(self, flips):
+        # a training step on a cached pyramid reads only the flipped mask, so
+        # flipping copies nothing
+        s = generate_sample(4, "sod", "toy")
+        f = apply_flip(s, *flips)
+        for got, src in ((f.image_main, s.image_main), (f.image_aux, s.image_aux),
+                         (f.gt, s.gt)):
+            assert np.shares_memory(got, src)
+
     def test_no_flip_returns_same_object(self):
         s = generate_sample(2, "sod", "toy")
         assert apply_flip(s, False, False) is s

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from dsunet.blocks import DSUNet
+from dsunet.blocks import Adapter, DSUNet
 from dsunet.config import PROFILES, ModelConfig, RunConfig, parse_config_text, render_config
 from dsunet.container import (
     MAGIC_CHECKPOINT,
@@ -73,11 +73,11 @@ class TestToyViT:
         enc = ToyViT(p, seeded_init(np.random.default_rng(0)))
         img = Tensor(np.random.default_rng(1).random(
             (3, p.aux_size, p.aux_size)).astype(np.float32))
-        v, taps = enc(img)
-        assert v.shape == (p.vit_channels, p.vit_grid, p.vit_grid)
+        # one tap per block; the last is the token map v
+        taps = enc(img)
         assert len(taps) == 4
         for t in taps:
-            assert t.shape == v.shape
+            assert t.shape == (p.vit_channels, p.vit_grid, p.vit_grid)
 
     def test_rejects_non_patch_multiple(self):
         # the profile check in DSUNet.encode guards the encoder's input
@@ -275,33 +275,49 @@ class TestFeatureIngestion:
         for d in outs:
             assert d.shape == (1, prof.main_size, prof.main_size)
 
-    @pytest.mark.parametrize("variant", ["B", "full"])
+    def _images(self, profile):
+        rng = np.random.default_rng(2)
+        return (Tensor(rng.random((3, profile.main_size, profile.main_size))
+                       .astype(np.float32)),
+                Tensor(rng.random((3, profile.aux_size, profile.aux_size))
+                       .astype(np.float32)))
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
     def test_encoded_pyramid_round_trips_through_a_feature_file(self, variant,
                                                                 tmp_path):
         # encode's dict is what a DSUF file holds: written, read back and
         # decoded, it gives the logits of the in-memory forward, byte for byte
         prof = PROFILES["toy"]
         model = DSUNet(ModelConfig(profile="toy", variant=variant, seed=0))
-        rng = np.random.default_rng(2)
-        main = Tensor(rng.random((3, prof.main_size, prof.main_size)).astype(np.float32))
-        aux = Tensor(rng.random((3, prof.aux_size, prof.aux_size)).astype(np.float32))
+        main, aux = self._images(prof)
         path = str(tmp_path / "encoded.dsuf")
         write_feature_file(path, model.encode(main, aux))
         pyr = load_pyramid(path, prof)
-        assert list(pyr) == ["s1", "s2", "s3", "s4", "v",
-                             "v_tap1", "v_tap2", "v_tap3", "v_tap4"]
+        assert list(pyr) == list(model.pyramid_names)
         got = model.forward_pyramid(pyr)
         want = model.forward(main, aux)
         assert [d.data.tobytes() for d in got] == [d.data.tobytes() for d in want]
 
-    def test_missing_tensor(self, tmp_path):
+    def test_missing_tensor(self, tmp_path, monkeypatch):
+        # a file holds the maps its writer's variant reads: a B-encoded file
+        # has no v, loads, and decodes under B; variant full names the map
+        # it lacks before any decoder block runs
         prof = PROFILES["toy"]
-        arrays = self._pyramid_arrays(prof)
-        del arrays["s3"]
-        path = str(tmp_path / "feat.dsuf")
-        write_feature_file(path, arrays)
-        with pytest.raises(ShapeError, match="s3 missing: 's3' of profile 'toy'"):
-            load_pyramid(path, prof)
+        model_b = DSUNet(ModelConfig(profile="toy", variant="B", seed=0))
+        path = str(tmp_path / "b.dsuf")
+        write_feature_file(path, model_b.encode(*self._images(prof)))
+        pyr = load_pyramid(path, prof)
+        assert "v" not in pyr
+        model_b.forward_pyramid(pyr)
+
+        def no_decoder(*args):
+            raise AssertionError("a decoder block ran")
+
+        full = DSUNet(ModelConfig(profile="toy", variant="full", seed=0))
+        monkeypatch.setattr(Adapter, "__call__", no_decoder)
+        with pytest.raises(ShapeError, match=re.escape(
+                "v missing: 'v' of profile 'toy' is (128, 9, 9)")):
+            full.forward_pyramid(pyr)
 
     def test_wrong_shape(self, tmp_path):
         prof = PROFILES["toy"]

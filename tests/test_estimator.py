@@ -125,6 +125,13 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="3 training inputs but 2 masks"):
             DSUNetEstimator(**fast_params()).fit(X, [s.gt for s in samples[:2]])
 
+    def test_fit_rejects_masks_for_samples(self):
+        # Samples carry their own masks; masks in y beside them would be ignored
+        samples = make_samples(2)
+        with pytest.raises(ValueError, match="masks in y for Samples"):
+            DSUNetEstimator(**fast_params()).fit(
+                samples, [np.zeros_like(s.gt) for s in samples])
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             DSUNetEstimator().predict(make_samples(1))

@@ -531,7 +531,7 @@ class TestPyramidCache:
         model = DSUNet(run.model)
         s = samples[0]
         pyramid = model.encode(Tensor(s.image_main), Tensor(s.image_aux))
-        entry = sum(pyramid[name].data.nbytes for name in model.pyramid_names)
+        entry = sum(t.data.nbytes for t in pyramid.values())
         encodes.clear()
         monkeypatch.setattr(dsunet.harness, "_PYRAMID_CACHE_BYTES", entries * entry)
         model, _, rows = fit_samples(run, samples)
