@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .tensor import ConfigError, ShapeError
@@ -24,27 +25,28 @@ class Profile:
         return self.aux_size // self.patch
 
     def pyramid_shapes(self):
-        """Expected shapes of S1..S4 (strides 4, 8, 16, 32) and V."""
+        """Shapes of every map a feature pyramid may hold: s1..s4 (strides 4,
+        8, 16, 32), the token map v, and one ViT tap per level, v_tap1..v_tap4,
+        each of v's shape."""
         shapes = {}
         for i, c in enumerate(self.hiera_channels):
             s = self.main_size // 2 ** (i + 2)
             shapes[f"s{i + 1}"] = (c, s, s)
-        shapes["v"] = (self.vit_channels, self.vit_grid, self.vit_grid)
+        v = (self.vit_channels, self.vit_grid, self.vit_grid)
+        shapes["v"] = v
+        shapes.update((f"v_tap{i + 1}", v) for i in range(len(self.hiera_channels)))
         return shapes
 
     def check(self, arrays, where=""):
         """ShapeError, prefixed by ``where``, unless each named array or Tensor
         (None: missing) has the shape this profile accepts under its name:
         image_main 3 x main_size², image_aux 3 x aux_size², the mask gt
-        main_size², s1..s4 and v as :meth:`pyramid_shapes`, and one ViT tap
-        per level, v_tap1..v_tap4, v's.  Any other name is rejected."""
-        shapes = self.pyramid_shapes()
+        main_size², and the pyramid maps as :meth:`pyramid_shapes`.  Any other
+        name is rejected."""
         accepted = {"image_main": (3, self.main_size, self.main_size),
                     "image_aux": (3, self.aux_size, self.aux_size),
                     "gt": (self.main_size, self.main_size),
-                    **shapes,
-                    **{f"v_tap{i + 1}": shapes["v"]
-                       for i in range(len(self.hiera_channels))}}
+                    **self.pyramid_shapes()}
         for name, array in arrays.items():
             if name not in accepted:
                 raise ShapeError(f"{where}{name!r} is not an input of profile "
@@ -72,6 +74,14 @@ def _require_at_least(key, value, low, strict=False):
                           f"finite, got {value}")
 
 
+def _require_integer(key, value, low):
+    """ConfigError naming ``key`` unless ``value`` is a Python or numpy
+    integer (a float fails, even an integral one) and >= ``low``."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    _require_at_least(key, value, low)
+
+
 @dataclass
 class ModelConfig:
     profile: str = "toy"
@@ -79,8 +89,6 @@ class ModelConfig:
     adapter_ratio: float = 0.25
     reduced_channels: int = 64
     loss_weights: tuple[float, float, float] = (0.25, 0.5, 1.0)
-    beta2_f: float = 0.3
-    pixel_weighted_loss: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -90,12 +98,12 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.adapter_ratio <= 1.0:
             raise ConfigError("adapter_ratio must be in (0, 1]")
-        _require_at_least("reduced_channels", self.reduced_channels, 1)
+        _require_integer("reduced_channels", self.reduced_channels, 1)
         if len(self.loss_weights) != 3:
             raise ConfigError("loss_weights must hold one weight per decoder level (3)")
         for key, w in zip(_RENAMED_MODEL_KEYS["loss_weights"], self.loss_weights):
             _require_at_least(key, w, 0)
-        _require_at_least("beta2_f", self.beta2_f, 0)
+        _require_integer("model_seed", self.seed, 0)
 
     @property
     def resolved_profile(self):
@@ -118,9 +126,10 @@ class RunConfig:
 
     def __post_init__(self):
         _require_at_least("lr", self.lr, 0, strict=True)
-        for name, low in (("weight_decay", 0), ("batch", 1), ("epochs", 1),
-                          ("n_train", 0), ("n_val", 0)):
-            _require_at_least(name, getattr(self, name), low)
+        _require_at_least("weight_decay", self.weight_decay, 0)
+        for name, low in (("seed", 0), ("batch", 1), ("epochs", 1), ("n_train", 0),
+                          ("n_val", 0)):
+            _require_integer(name, getattr(self, name), low)
         if self.mode not in ("sod", "cod"):
             raise ConfigError(f"unknown data mode {self.mode!r}")
 
@@ -145,14 +154,15 @@ def _settings(run):
             yield f.name, getattr(run, f.name)
 
 
+# removed settings -> the one value every run used, as older files hold it:
+# a line with that value is skipped, and any other value is an error
+_RETIRED_KEYS = {
+    "beta2_f": "0.3",               # the F-measure's beta^2
+    "pixel_weighted_loss": "true",  # the loss's boundary weights
+}
+
+
 def _coerce(raw, typ, key):
-    if typ is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {raw!r}")
     try:
         return typ(raw)
     except ValueError:
@@ -170,6 +180,11 @@ def parse_config_text(text):
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in _RETIRED_KEYS:
+            if raw != _RETIRED_KEYS[key]:
+                raise ConfigError(f"line {lineno}: setting {key!r} was removed; it "
+                                  f"may only hold its old value {_RETIRED_KEYS[key]}")
+            continue
         if key not in settings:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
@@ -195,10 +210,7 @@ def render_config(run):
     defaults = dict(_settings(RunConfig()))
     lines = []
     for key, value in _settings(run):
-        typ = type(defaults[key])
-        if typ is bool:
-            text = str(value).lower()
-        elif typ is float:
+        if type(defaults[key]) is float:
             text = repr(float(value))
         else:
             text = str(value)

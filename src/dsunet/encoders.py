@@ -11,7 +11,7 @@ from __future__ import annotations
 from .config import Profile
 from .container import MAGIC_FEATURES, read_container, write_container
 from .nn import Conv2d, Module
-from .tensor import Tensor, gelu, relu
+from .tensor import ShapeError, Tensor, gelu, relu
 
 
 class ToyHiera(Module):
@@ -81,8 +81,14 @@ def write_feature_file(path, named_tensors):
 
 def load_pyramid(path, profile: Profile):
     """Read a DSUF file as the name -> Tensor pyramid ``DSUNet.encode`` returns:
-    ShapeError unless each array has the profile's shape under a name it knows.
-    A missing map is reported by its reader, ``DSUNet.forward_pyramid``."""
+    ShapeError unless each array is a pyramid map, named as in
+    ``profile.pyramid_shapes()``, of the profile's shape.  A missing map is
+    reported by its reader, ``DSUNet.forward_pyramid``."""
     arrays = read_container(path, magic=MAGIC_FEATURES)
+    names = profile.pyramid_shapes()
+    for name in arrays:
+        if name not in names:
+            raise ShapeError(f"feature file {path}: {name!r} is not a pyramid map "
+                             f"of profile {profile.name!r}, which has {', '.join(names)}")
     profile.check(arrays, f"feature file {path}: ")
     return {name: Tensor(array) for name, array in arrays.items()}

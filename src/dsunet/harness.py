@@ -301,9 +301,9 @@ def ablate(base_run: RunConfig):
         model, _, _, _ = _train_run(run, train_samples)
         pairs = []
         for sample in val_samples:
-            pred = _probability_map(model, sample.image_main, sample.image_aux)
+            pred = predict_sample(model, sample)
             pairs.append((sample.id, pred, sample.gt.astype(np.float64)))
-        report = compute_report(pairs, beta2=run.model.beta2_f)
+        report = compute_report(pairs)
         rows.append((variant, report.means))
     return rows
 

@@ -2,8 +2,7 @@
 
 Each decoder output contributes L = L_bce + L_iou, F3Net's pixel-weighted
 BCE and soft IoU; the total is the level-weighted sum of the three.  Pixel
-weights emphasize boundaries: w = 1 + 5 * |boxmean31(gt) - gt|.  Both terms
-use the weight map; set ``pixel_weighted_loss = false`` for uniform weights.
+weights emphasize boundaries in both terms: w = 1 + 5 * |boxmean31(gt) - gt|.
 Besides the scalar, :func:`total_loss` returns the values as one row in the
 order of :data:`ROW`: per level its BCE, IoU and their sum, then the total.
 """
@@ -58,8 +57,7 @@ def total_loss(outputs, gt, config):
     if gt.ndim != 2:
         raise ShapeError(f"total_loss expects an H x W mask, got shape {gt.shape}")
     g = gt[None].astype(np.float64)
-    w = (pixel_weight_map(gt).astype(np.float64) if config.pixel_weighted_loss
-         else np.ones_like(g))
+    w = pixel_weight_map(gt).astype(np.float64)
     wsum = w.sum()
     levels = tuple(outputs)
     dtype = levels[0].dtype.type

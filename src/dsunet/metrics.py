@@ -194,15 +194,15 @@ def s_measure(pred, gt):
     return max(0.0, 0.5 * s_object + 0.5 * s_region)
 
 
-# column -> score(pred, gt, beta2).  Each entry looks f_measure / e_measure up
+# column -> score(pred, gt).  Each entry looks f_measure / e_measure up
 # in the module when it runs, so a wrapper set on the module later is called.
 _SCORERS = {
-    "S": lambda pred, gt, beta2: s_measure(pred, gt),
-    "Fadp": lambda pred, gt, beta2: f_measure(pred, gt, beta2, "adaptive"),
-    "Fmean": lambda pred, gt, beta2: f_measure(pred, gt, beta2, "mean_thresholds"),
-    "Eadp": lambda pred, gt, beta2: e_measure(pred, gt, "adaptive"),
-    "Emean": lambda pred, gt, beta2: e_measure(pred, gt, "mean_thresholds"),
-    "MAE": lambda pred, gt, beta2: mae(pred, gt),
+    "S": lambda pred, gt: s_measure(pred, gt),
+    "Fadp": lambda pred, gt: f_measure(pred, gt, 0.3, "adaptive"),
+    "Fmean": lambda pred, gt: f_measure(pred, gt, 0.3, "mean_thresholds"),
+    "Eadp": lambda pred, gt: e_measure(pred, gt, "adaptive"),
+    "Emean": lambda pred, gt: e_measure(pred, gt, "mean_thresholds"),
+    "MAE": lambda pred, gt: mae(pred, gt),
 }
 _COLUMNS = tuple(_SCORERS)
 
@@ -220,7 +220,7 @@ class MetricReport:
         return not self.failures
 
 
-def compute_report(pairs, beta2=0.3):
+def compute_report(pairs):
     """Aggregate metrics over (stem, pred, gt) triples, sorted by stem."""
     report = MetricReport()
     sums = {c: 0.0 for c in _COLUMNS}
@@ -229,7 +229,7 @@ def compute_report(pairs, beta2=0.3):
         row = {}
         for col, score in _SCORERS.items():
             try:
-                row[col] = score(pred, gt, beta2)
+                row[col] = score(pred, gt)
             except UndefinedMetric:
                 row[col] = None
                 if stem not in report.undefined:

@@ -61,20 +61,18 @@ class TestPixelWeightMap:
 _BCE1, _IOU1 = ROW.index("bce1"), ROW.index("iou1")
 
 
-def _level1(z, gt, pixel_weighted=True):
+def _level1(z, gt):
     """total_loss with level weights (1, 0, 0), logits ``z`` (H x W, float64)
     at level 1 and zeros below.  Returns (total, row, level-1 logits)."""
-    cfg = ModelConfig(profile="toy", seed=0, loss_weights=(1.0, 0.0, 0.0),
-                      pixel_weighted_loss=pixel_weighted)
+    cfg = ModelConfig(profile="toy", seed=0, loss_weights=(1.0, 0.0, 0.0))
     d1 = Tensor(np.asarray(z, dtype=np.float64)[None], requires_grad=True)
     rest = [Tensor(np.zeros_like(d1.data)) for _ in range(2)]
     total, row = total_loss((d1, *rest), gt, cfg)
     return total, row, d1
 
 
-def _weights(gt, pixel_weighted):
-    return (pixel_weight_map(gt)[0].astype(np.float64) if pixel_weighted
-            else np.ones_like(gt))
+def _weights(gt):
+    return pixel_weight_map(gt)[0].astype(np.float64)
 
 
 def _central_diff(f, z, step=1e-6):
@@ -116,37 +114,35 @@ class TestWeightedBCE:
     def test_backward_at_saturated_logits_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            total, _, d1 = _level1(np.array([[-1000.0, 1000.0]]),
-                                   np.array([[1.0, 0.0]]), pixel_weighted=False)
+            gt = np.array([[1.0, 0.0]])
+            total, _, d1 = _level1(np.array([[-1000.0, 1000.0]]), gt)
             total.backward()
-        # p = 0 and 1 exactly, so the BCE share is (p - g) / 2 and the IoU
-        # share p (1 - p) dIoU/dp is 0
-        np.testing.assert_array_equal(d1.grad, [[[-0.5, 0.5]]])
+        # p = 0 and 1 exactly, so the BCE share is w (p - g) / Sum(w) and the
+        # IoU share p (1 - p) dIoU/dp is 0
+        w, p = _weights(gt), np.array([[0.0, 1.0]])
+        np.testing.assert_array_equal(d1.grad, (w * (p - gt) / w.sum())[None])
 
     def test_weighting_reweights_pixels(self):
         # confident and right everywhere but one boundary pixel: the weight
-        # map raises that pixel's share of the mean
+        # map raises that pixel's share above the plain per-pixel mean
         gt = np.zeros((16, 16))
         gt[4:12, 4:12] = 1.0
         z = np.where(gt > 0.5, 6.0, -6.0)
         z[4, 8] = -3.0
-        skewed = _level1(z, gt)[1][_BCE1]
-        uniform = _level1(z, gt, pixel_weighted=False)[1][_BCE1]
-        assert skewed > uniform
+        per_pixel = np.maximum(z, 0.0) - z * gt + np.log1p(np.exp(-np.abs(z)))
+        assert _level1(z, gt)[1][_BCE1] > per_pixel.mean()
 
     def test_matches_naive_formula(self):
         z, gt = _random_case(2)
         p = 1.0 / (1.0 + np.exp(-z))
-        for pixel_weighted in (True, False):
-            w = _weights(gt, pixel_weighted)
-            naive = (w * -(gt * np.log(p) + (1 - gt) * np.log(1 - p))).sum() / w.sum()
-            got = _level1(z, gt, pixel_weighted)[1][_BCE1]
-            assert got == pytest.approx(naive, rel=1e-10)
+        w = _weights(gt)
+        naive = (w * -(gt * np.log(p) + (1 - gt) * np.log(1 - p))).sum() / w.sum()
+        assert _level1(z, gt)[1][_BCE1] == pytest.approx(naive, rel=1e-10)
 
     def test_gradient(self):
         # the derivative of the bce1 column is the closed form the backward uses
         z, gt = _random_case(3, n=5)
-        w = _weights(gt, True)
+        w = _weights(gt)
         p = 1.0 / (1.0 + np.exp(-z))
         numeric = _central_diff(lambda v: _level1(v, gt)[1][_BCE1], z)
         np.testing.assert_allclose(numeric, w * (p - gt) / w.sum(), atol=1e-8)
@@ -175,37 +171,37 @@ class TestWeightedIoU:
     def test_matches_naive_formula(self):
         z, gt = _random_case(4)
         p = 1.0 / (1.0 + np.exp(-z))
-        for pixel_weighted in (True, False):
-            w = _weights(gt, pixel_weighted)
-            inter = (w * p * gt).sum()
-            union = (w * (p + gt)).sum()
-            naive = 1.0 - (inter + 1.0) / (union - inter + 1.0)
-            got = _level1(z, gt, pixel_weighted)[1][_IOU1]
-            assert got == pytest.approx(naive, rel=1e-10)
+        w = _weights(gt)
+        inter = (w * p * gt).sum()
+        union = (w * (p + gt)).sum()
+        naive = 1.0 - (inter + 1.0) / (union - inter + 1.0)
+        assert _level1(z, gt)[1][_IOU1] == pytest.approx(naive, rel=1e-10)
 
     def test_saturated_logits_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            total, row, d1 = _level1(np.array([[-1000.0, 1000.0]]),
-                                     np.array([[0.0, 1.0]]), pixel_weighted=False)
+            gt = np.array([[0.0, 1.0]])
+            total, row, d1 = _level1(np.array([[-1000.0, 1000.0]]), gt)
             total.backward()
-        # p = 0 and 1 exactly: inter = 1, union = 1, loss = 1 - 2/2
+        # p = 0 and 1 exactly: with w2 the second pixel's weight, inter = w2 and
+        # union = 2 w2, so the loss is 1 - (w2 + 1) / (w2 + 1) = 0; the IoU
+        # share p (1 - p) dIoU/dp is 0, which leaves the BCE share w (p - g) / Sum(w)
         assert row[_IOU1] == 0.0
-        assert np.all(np.isfinite(d1.grad))
+        w, p = _weights(gt), np.array([[0.0, 1.0]])
+        np.testing.assert_array_equal(d1.grad, (w * (p - gt) / w.sum())[None])
 
     def test_in_unit_interval(self):
         for seed in range(10):
             r = np.random.default_rng(seed)
             gt = (r.random((5, 5)) > 0.5).astype(np.float64)
-            for pixel_weighted in (True, False):
-                v = _level1(3.0 * r.standard_normal((5, 5)), gt, pixel_weighted)[1][_IOU1]
-                assert 0.0 <= v < 1.0
+            v = _level1(3.0 * r.standard_normal((5, 5)), gt)[1][_IOU1]
+            assert 0.0 <= v < 1.0
 
     def test_gradient(self):
         # the level-1 gradient less the closed-form BCE share is the
         # derivative of the iou1 column
         z, gt = _random_case(6, n=5)
-        w = _weights(gt, True)
+        w = _weights(gt)
         p = 1.0 / (1.0 + np.exp(-z))
         total, _, d1 = _level1(z, gt)
         total.backward()
@@ -252,17 +248,6 @@ class TestTotalLoss:
         total, row = total_loss(outputs, gt, cfg)
         assert float(total.data) == pytest.approx(row[ROW.index("level1")], rel=1e-6)
 
-    def test_uniform_weight_switch(self):
-        rng = np.random.default_rng(3)
-        outputs = self._outputs(rng)
-        gt = np.zeros((16, 16), dtype=np.float32)
-        gt[4:12, 4:12] = 1.0
-        weighted = total_loss(outputs, gt, ModelConfig(profile="toy", seed=0))[1]
-        uniform = total_loss(outputs, gt,
-                             ModelConfig(profile="toy", seed=0,
-                                         pixel_weighted_loss=False))[1]
-        assert weighted[-1] != pytest.approx(uniform[-1], rel=1e-6)
-
     def test_backward_reaches_all_levels(self):
         rng = np.random.default_rng(4)
         outputs = self._outputs(rng)
@@ -296,10 +281,9 @@ class TestTotalLoss:
                        "bce3", "iou3", "level3", "total")
 
     # SHA-256 of the bytes of the total, the row and the three logit
-    # gradients (seeded with 0.25) for fixed float32 logits, with the boundary
-    # weights and the default level weights, and with uniform weights and
-    # other level weights.  A changed formula, rounding step or summation
-    # order changes a digest.
+    # gradients (seeded with 0.25) for fixed float32 logits and the default
+    # level weights.  A changed formula, rounding step or summation order
+    # changes a digest.
     PINNED_DIGESTS = {
         "pixel-weighted": (
             "87a1e046e36efceddd1ba2791b3229848d00976e7391c198849e1c0f0d6f8c38",
@@ -308,26 +292,16 @@ class TestTotalLoss:
             "5bac6550b95ed23d7e59d84ec42710fdaddc5679f1abc2a51c497016da3d5ef1",
             "5029cbb2e393faffc27416aea4e72ede0eb9aa307646d61f5b377c788120364e",
         ),
-        "uniform": (
-            "9749acaa18690db4cf54ddd0c62c57c6bd71f46d2aa1aa57703ca48f14d983b7",
-            "d664c31d227e9bb9bb29210a914f0ee80ae45413b6323aab7fc101e4956edd98",
-            "5fdabf7b409840448ebba141c63b9b1cb31f2ce206915dc0adbbe57deb14dcaf",
-            "8527f209905cb2b00e310524ebae06fb885a71eab2761082b85cf74806901139",
-            "98df214bc0666bd47e680d256d537a4e4c5120efe03a642699acfa1d3ec5f04b",
-        ),
     }
 
-    @pytest.mark.parametrize("case", ["pixel-weighted", "uniform"])
+    @pytest.mark.parametrize("case", ["pixel-weighted"])
     def test_matches_pinned_digests(self, case):
         rng = np.random.default_rng(17)
         logits = [Tensor(3.0 * rng.standard_normal((1, 20, 20)).astype(np.float32),
                          requires_grad=True) for _ in range(3)]
         gt = np.zeros((20, 20), dtype=np.float32)
         gt[4:13, 6:17] = 1.0
-        cfg = (ModelConfig(profile="toy", seed=0) if case == "pixel-weighted" else
-               ModelConfig(profile="toy", seed=0, loss_weights=(0.3, 0.7, 1.1),
-                           pixel_weighted_loss=False))
-        total, row = total_loss(logits, gt, cfg)
+        total, row = total_loss(logits, gt, ModelConfig(profile="toy", seed=0))
         total.backward(np.asarray(0.25, dtype=np.float32))
         arrays = [total.data, row] + [t.grad for t in logits]
         assert [a.dtype for a in arrays] == [np.float32, np.float64] + [np.float32] * 3
