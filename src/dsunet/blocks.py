@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .encoders import ToyHiera, ToyViT
-from .nn import Conv2d, Linear, Module, seeded_init
+from .nn import Conv2d, Module, seeded_init
 from .tensor import (
     ShapeError,
     amax,
@@ -79,16 +79,16 @@ def haar_idwt2(x):
 class Adapter(Module):
     """Residual bottleneck applied per position over the channel axis.
 
-    linear(C -> b) -> GeLU -> linear(b -> C) -> GeLU, added to the input.
-    The up-projection starts at zero so training begins from the frozen
-    features unperturbed.
+    1x1 conv (C -> b) -> GeLU -> 1x1 conv (b -> C) -> GeLU, added to the
+    input.  The up-projection starts at zero so training begins from the
+    frozen features unperturbed.
     """
 
     def __init__(self, channels, ratio, init):
         super().__init__()
         bottleneck = max(1, round(channels * ratio))
-        self.down = self.add("down", Linear(channels, bottleneck, init))
-        self.up = self.add("up", Linear(bottleneck, channels, init))
+        self.down = self.add("down", Conv2d(channels, bottleneck, 1, init))
+        self.up = self.add("up", Conv2d(bottleneck, channels, 1, init))
         self.up.weight.data[:] = 0.0
         self.up.bias.data[:] = 0.0
 
@@ -172,16 +172,18 @@ class RFB(Module):
 class CGA(Module):
     """Content-guided fusion of two same-shaped maps.
 
-    Channel and spatial attentions over the sum form a coarse map; a
-    depthwise-separable refinement turns it into per-pixel weights that
-    convexly blend the two inputs before a final 1x1 projection.
+    Channel and spatial attentions over the sum form a coarse map: the
+    channel attention is a 1x1 conv bottleneck (C -> C/4 -> C) over the
+    pooled C x 1 x 1 vector.  A depthwise-separable refinement turns the
+    coarse map into per-pixel weights that convexly blend the two inputs
+    before a final 1x1 projection.
     """
 
     def __init__(self, channels, init):
         super().__init__()
         hidden = max(1, channels // 4)
-        self.ch_down = self.add("ch_down", Linear(channels, hidden, init))
-        self.ch_up = self.add("ch_up", Linear(hidden, channels, init))
+        self.ch_down = self.add("ch_down", Conv2d(channels, hidden, 1, init))
+        self.ch_up = self.add("ch_up", Conv2d(hidden, channels, 1, init))
         self.spatial = self.add("spatial", Conv2d(2, 1, 7, init, padding=3))
         self.px_depthwise = self.add(
             "px_depthwise", Conv2d(channels, channels, 3, init, padding=1,

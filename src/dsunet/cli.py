@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import harness
 from .blocks import DSUNet
@@ -23,7 +24,7 @@ def _cmd_gen_data(args):
 def _cmd_train(args):
     run = parse_config_file(args.config)
     if args.out:
-        run.out_dir = args.out
+        run = replace(run, out_dir=args.out)
 
     def progress(epoch, mean_total):
         print(f"epoch {epoch}: mean total loss {mean_total:.6f}")
@@ -52,7 +53,7 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     run = parse_config_file(args.config)
     if args.out_dir:
-        run.out_dir = args.out_dir
+        run = replace(run, out_dir=args.out_dir)
     rows = harness.ablate(run)
     table = harness.format_ablation_table(rows)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -81,6 +82,19 @@ def _cmd_verify(_args):
     return 0 if failed == 0 else 1
 
 
+def _int_at_least(low):
+    """An argparse type: an integer >= ``low``; anything else is a usage error
+    (exit 2) that names the flag."""
+    def parse(text):
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="dsu",
                                      description="dual-encoder segmentation toolkit")
@@ -88,9 +102,9 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--mode", choices=("sod", "cod"), default="sod")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--profile", choices=("toy", "large"), default="toy")
     p.set_defaults(fn=_cmd_gen_data)
 

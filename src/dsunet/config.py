@@ -82,6 +82,17 @@ def _require_integer(key, value, low):
     _require_at_least(key, value, low)
 
 
+def _require_line_value(key, value):
+    """ConfigError naming ``key`` unless the text ``value`` reads back unchanged
+    from its ``key = value`` line: no ``#`` (a comment starts there), no
+    character ``str.splitlines`` splits on, no leading or trailing whitespace."""
+    text = str(value)
+    if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+        raise ConfigError(f"{key} {text!r} cannot be written to a config line: it "
+                          f"may hold no '#', line break, or leading or trailing "
+                          f"whitespace")
+
+
 @dataclass
 class ModelConfig:
     profile: str = "toy"
@@ -132,6 +143,8 @@ class RunConfig:
             _require_integer(name, getattr(self, name), low)
         if self.mode not in ("sod", "cod"):
             raise ConfigError(f"unknown data mode {self.mode!r}")
+        for name in ("data_dir", "out_dir"):
+            _require_line_value(name, getattr(self, name))
 
 
 # the model fields a config file names differently (RunConfig has its own

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .tensor import ConvSpec, Tensor, conv2d, linear
+from .tensor import ConvSpec, Tensor, conv2d
 
 
 class Module:
@@ -95,15 +95,3 @@ class Conv2d(Module):
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, self.spec)
 
-
-class Linear(Module):
-    def __init__(self, in_features, out_features, init):
-        super().__init__()
-        self.weight = self.register(
-            "weight", Tensor(init((in_features, out_features), in_features),
-                             requires_grad=True))
-        self.bias = self.register(
-            "bias", Tensor(init((out_features,), in_features), requires_grad=True))
-
-    def forward(self, x):
-        return linear(x, self.weight, self.bias)

@@ -3,15 +3,16 @@
 The network graph is static, so there is no general autograd: every
 operation builds its output tensor with a closure that knows how to push
 gradients to its parents.  The ops: elementwise ``add``, ``mul``, ``relu``,
-``sigmoid`` and ``gelu``; ``concat`` and the slicing ``narrow``; ``linear``,
-``conv2d``, ``bilinear_resize`` and ``channel_resample``; ``mean`` and ``amax``
-over given axes; and ``softmax_over_branch``.  ``fixed_map`` builds the node
-of a parameter-free linear map (``narrow``, ``mean``, the two resamplings and
-the Haar pair of ``blocks``) from its forward and adjoint kernels.  Axis 0 is
+``sigmoid`` and ``gelu``; ``concat`` and the slicing ``narrow``; ``conv2d``,
+``bilinear_resize`` and ``channel_resample``; ``mean`` and ``amax`` over given
+axes; and ``softmax_over_branch``.  ``fixed_map`` builds the node of a
+parameter-free linear map (``narrow``, ``mean``, the two resamplings and the
+Haar pair of ``blocks``) from its forward and adjoint kernels.  Axis 0 is
 every op's channel axis and the last two are its spatial axes: maps are
-C x H x W, batches C x N x H x W, and ``linear`` mixes axis 0 per position (a
-1 x 1 convolution).  Row-major float32; ``mean`` and the finite-difference
-oracle accumulate in float64.
+C x H x W, batches C x N x H x W.  Every learned per-position channel mix
+(an adapter or attention projection, a head) is a 1 x 1 ``conv2d``.
+Row-major float32; ``mean`` and the finite-difference oracle accumulate in
+float64.
 
 Every op keeps the dtype its operands share: float32 in training and inference,
 float64 in the gradient-check mode (see :func:`cast_all`).  A constant mixed
@@ -310,32 +311,11 @@ def narrow(x, index):
     return fixed_map(x, lambda d: d[index].copy(), adjoint)
 
 
-# -- linear / convolution -------------------------------------------------
+# -- convolution ----------------------------------------------------------
 
 # Upper bound on one block of im2col columns in conv2d.  A block holds at
 # least one channel group, so a dense convolution is always a single block.
 _BLOCK_BYTES = 4 << 20
-
-
-def linear(x, weight, bias):
-    """Affine map over the leading (channel) axis: (Din, ...) -> (Dout, ...)."""
-    din, dout = weight.data.shape
-    if x.data.shape[0] != din:
-        raise ShapeError(
-            f"linear: leading extent {x.data.shape[0]} != weight Din {din}"
-        )
-    x2 = x.data.reshape(din, -1)
-    out = weight.data.T @ x2
-    out += bias.data[:, None]
-    out_data = out.reshape((dout,) + x.data.shape[1:])
-
-    def backward(g):
-        g2 = g.reshape(dout, -1)
-        _accumulate(x, (weight.data @ g2).reshape(x.data.shape))
-        _accumulate(weight, x2 @ g2.T)
-        _accumulate(bias, g2.sum(axis=1))
-
-    return _make(out_data, (x, weight, bias), backward)
 
 
 @dataclass(frozen=True)

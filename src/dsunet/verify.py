@@ -18,7 +18,7 @@ from .blocks import (
     haar_idwt2,
 )
 from .metrics import e_measure, f_measure, mae, s_measure
-from .nn import Conv2d, Linear, seeded_init
+from .nn import Conv2d, seeded_init
 from .tensor import Tensor, bilinear_resize, cast_all, gelu, grad_check
 
 
@@ -114,9 +114,9 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
         crng = np.random.default_rng(seed + 500)
         init = seeded_init(rng)   # parameters and inputs share one stream
 
-        lin = Linear(4, 2, init)
-        x = Tensor(rng.standard_normal((4, 3)))
-        check("linear", lambda: lin(x), lin.parameters() + [x])
+        pointwise = Conv2d(4, 2, 1, init)
+        x = Tensor(rng.standard_normal((4, 1, 1)))  # a pooled vector, as in CGA
+        check("pointwise", lambda: pointwise(x), pointwise.parameters() + [x])
 
         c1 = Conv2d(2, 3, 3, init, padding=1)
         c2 = Conv2d(3, 2, 3, init, padding=1)

@@ -109,8 +109,8 @@ class TestAdapter:
 
     def test_bottleneck_width(self):
         ad = Adapter(16, ratio=0.25, init=seeded_init(np.random.default_rng(0)))
-        assert ad.down.weight.shape == (16, 4)
-        assert ad.up.weight.shape == (4, 16)
+        assert ad.down.weight.shape == (4, 16, 1, 1)
+        assert ad.up.weight.shape == (16, 4, 1, 1)
 
     def test_all_parameters_trainable(self):
         ad = Adapter(8, ratio=0.25, init=seeded_init(np.random.default_rng(1)))
@@ -400,10 +400,10 @@ class TestModelAssembly:
     # a renamed parameter changes the digest.  B and C register the same
     # parameters; they differ only in which token features they fuse.
     PINNED_DIGESTS = {
-        "A": "855daae94803abdb6d7e302418debee9e405ea363f68ab54b862b51712b60c04",
-        "B": "563a74d79e1b1db8c667383ae8b2eeccb36b53061cdd8d5ab6fb2ad6d8048d19",
-        "C": "563a74d79e1b1db8c667383ae8b2eeccb36b53061cdd8d5ab6fb2ad6d8048d19",
-        "full": "fd6a5d752e5775adcb5ce186890b9166ceff86633c0703d566b44428b22593e2",
+        "A": "abac0c4ae64328987a4e361cfcc8258f1a1683336fdfd51f162bb9aeb4fcc075",
+        "B": "d828f90d271b57cdfb628731c1df52b269323cae2788c689b326ab5319e01d2d",
+        "C": "d828f90d271b57cdfb628731c1df52b269323cae2788c689b326ab5319e01d2d",
+        "full": "c1a199069304feaa27874b57a6b0fd69c982d130521c90d22e47c9ecdd1a8b46",
     }
 
     @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])

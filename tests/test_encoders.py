@@ -517,6 +517,21 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value}"):
             cls(**{name: value})
 
+    @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
+    @pytest.mark.parametrize("value", [
+        "runs/#1", "runs/x\ny", "runs/x\ry", "runs/x\x1cy", "runs/x\u2028y",
+        " runs/x", "runs/x ", "runs/x\t"],
+        ids=["hash", "newline", "carriage-return", "file-separator",
+             "line-separator", "leading-space", "trailing-space", "trailing-tab"])
+    def test_path_a_config_line_cannot_hold_names_its_key(self, key, value):
+        # checkpoints echo the config text, so such a path would not read back
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            RunConfig(**{key: value})
+
+    def test_paths_with_inner_spaces_and_equals_read_back(self):
+        run = RunConfig(data_dir="data/set 1", out_dir="runs/lr=0.1")
+        assert parse_config_text(render_config(run)) == run
+
     def test_negative_n_train_rejected(self):
         with pytest.raises(ConfigError, match="n_train must be >= 0"):
             parse_config_text("n_train = -3")

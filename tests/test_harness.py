@@ -30,7 +30,7 @@ from dsunet.harness import (
 )
 from dsunet.losses import ROW, total_loss
 from dsunet.optim import AdamW, NonFiniteGradient
-from dsunet.tensor import ShapeError, Tensor
+from dsunet.tensor import ConfigError, ShapeError, Tensor
 
 
 def tiny_run(out_dir, **overrides):
@@ -158,6 +158,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape"):
             load_checkpoint(path)
 
+    def test_linear_layout_checkpoint_names_the_parameter_and_both_shapes(
+            self, tmp_path):
+        # checkpoints written before the adapter and CGA projections became
+        # 1x1 convolutions hold their weights as (in, out)
+        run = tiny_run(str(tmp_path))
+        path = str(tmp_path / "m.dsut")
+        save_checkpoint(path, DSUNet(run.model), run)
+        tensors = read_container(path, magic=MAGIC_CHECKPOINT)
+        name = "adapter1.down.weight"
+        tensors[name] = np.ascontiguousarray(tensors[name][:, :, 0, 0].T)
+        write_container(path, tensors, magic=MAGIC_CHECKPOINT)
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint parameter {name!r} has shape (24, 6), "
+                "model expects (6, 24, 1, 1)")):
+            load_checkpoint(path)
 
     def test_missing_parameter_detected(self, tmp_path):
         run = tiny_run(str(tmp_path))
@@ -698,11 +713,35 @@ class TestCLI:
         assert os.path.exists(os.path.join(data, "manifest.txt"))
         assert os.path.isdir(os.path.join(data, "gt"))
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_dir_override_is_validated(self, command, tmp_path, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(dsunet.harness, "_train_step", no_step)
+        cfg = self._config(tmp_path)
+        out = tmp_path / "run#2"
+        argv = (["train", "--config", cfg, "--out", str(out)] if command == "train" else
+                ["ablate", "--config", cfg, "--out", str(tmp_path / "t.txt"),
+                 "--out-dir", str(out)])
+        with pytest.raises(ConfigError, match="^out_dir "):
+            cli_main(argv)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-2"),
+                                             ("--seed", "-1"), ("--n", "two")])
+    def test_gen_data_rejects_bad_numbers_at_the_parser(self, flag, value,
+                                                        tmp_path, capsys):
+        data = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:  # a repeated flag takes its last value
+            cli_main(["gen-data", "--out", str(data), "--n", "2", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not data.exists()
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path):
         bad = str(tmp_path / "bad.txt")
         with open(bad, "w") as f:
             f.write("momentum = 0.9\n")
-        from dsunet.tensor import ConfigError
-
         with pytest.raises(ConfigError):
             cli_main(["train", "--config", bad])

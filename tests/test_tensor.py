@@ -31,7 +31,6 @@ from dsunet.tensor import (
     fixed_map,
     gelu,
     grad_check,
-    linear,
     logistic,
     mean,
     mul,
@@ -236,29 +235,37 @@ class TestConv2d:
 
 
 class TestLinear:
+    """The per-position linear map over channels: ``conv2d`` with a 1 x 1 ConvSpec."""
+
+    @staticmethod
+    def _pointwise(x, w, b):
+        cout, cin = w.shape[:2]
+        return conv2d(x, w, b, ConvSpec(cin, cout, (1, 1)))
+
     def test_identity(self):
-        x = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
-        w = Tensor(np.eye(3, dtype=np.float32))
-        out = linear(x, w, zeros(3))
+        x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 2, 2))
+        w = Tensor(np.eye(3, dtype=np.float32)[:, :, None, None])
+        out = self._pointwise(x, w, zeros(3))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_sum(self):
-        out = linear(Tensor([3.0, 4.0]), Tensor([[1.0], [1.0]]),
-                     Tensor([0.0]))
-        assert out.data[0] == 7.0
+        out = self._pointwise(Tensor(np.array([3.0, 4.0]).reshape(2, 1, 1)),
+                              Tensor(np.ones((1, 2, 1, 1))), Tensor([0.0]))
+        assert out.data.shape == (1, 1, 1) and out.data[0, 0, 0] == 7.0
 
     def test_trailing_mismatch(self):
-        # the trailing axis is not mixed: only the leading extent must be Din
-        with pytest.raises(ShapeError, match="leading extent 2"):
-            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), zeros(2))
+        # the spatial axes are not mixed: only the leading extent must be Cin
+        with pytest.raises(ShapeError, match="input has 2 channels, spec expects 4"):
+            self._pointwise(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 4, 1, 1))),
+                            zeros(2))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((4, 5)))
-        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 5, 3)))
+        w = Tensor(rng.standard_normal((2, 4, 1, 1)), requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
         cast_all([x, w, b], np.float64)
-        assert grad_check(lambda: linear(x, w, b), [x, w, b]) < 1e-4
+        assert grad_check(lambda: self._pointwise(x, w, b), [x, w, b]) < 1e-4
 
     @pytest.mark.parametrize("xshape", [(6, 1, 1), (6, 2, 3, 4)],
                              ids=["pooled-map", "batched-maps"])
@@ -266,15 +273,15 @@ class TestLinear:
         # C x 1 x 1 is CGA's pooled channel vector; C x N x H x W a batch
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal(xshape))
-        w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 6, 1, 1)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
-        want = np.einsum("c...,cd->d...", x.data, w.data) \
+        want = np.einsum("c...,dc->d...", x.data, w.data[:, :, 0, 0]) \
             + b.data.reshape((3,) + (1,) * (len(xshape) - 1))
-        got = linear(x, w, b).data
+        got = self._pointwise(x, w, b).data
         assert got.shape == (3,) + xshape[1:]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         cast_all([x, w, b], np.float64)
-        assert grad_check(lambda: linear(x, w, b), [x, w, b]) < 1e-4
+        assert grad_check(lambda: self._pointwise(x, w, b), [x, w, b]) < 1e-4
 
 
 class TestActivations:
@@ -492,9 +499,9 @@ class TestGradCheckHarness:
 
     def test_frozen_tensor_gets_no_grad_buffer(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((3, 2)))
-        w_frozen = Tensor(rng.standard_normal((3, 2)), requires_grad=False)
-        out = linear(x, w_frozen, zeros(2))
+        x = Tensor(rng.standard_normal((3, 2, 2)))
+        w_frozen = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=False)
+        out = conv2d(x, w_frozen, zeros(2), ConvSpec(3, 2, (1, 1)))
         out.backward()
         assert w_frozen.grad is None
         assert x.grad is None
@@ -502,11 +509,12 @@ class TestGradCheckHarness:
     def test_multi_seed_grad_check(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            x = Tensor(rng.standard_normal((4, 3)))
-            w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            x = Tensor(rng.standard_normal((4, 3, 1)))
+            w = Tensor(rng.standard_normal((3, 4, 1, 1)), requires_grad=True)
             b = zeros(3, np.float64)
+            spec = ConvSpec(4, 3, (1, 1))
             cast_all([x, w], np.float64)
-            assert grad_check(lambda: sigmoid(linear(x, w, b)), [x, w]) < 1e-4
+            assert grad_check(lambda: sigmoid(conv2d(x, w, b, spec)), [x, w]) < 1e-4
 
     def test_non_finite_forward_output_raises(self):
         x = Tensor(np.array([1.0, np.inf, 2.0]))
@@ -604,7 +612,8 @@ _OP_CASES = {
     "concat-narrow-reflect-pad": ([(2, 3, 4)], lambda x: concat(
         [x, narrow(x, np.s_[..., 1:2, :])], axis=-2)),
     "narrow-ellipsis": ([(2, 1, 4, 5)], lambda x: narrow(x, np.s_[..., :3, :3])),
-    "linear": ([(4, 2, 3), (4, 5), (5,)], linear),
+    "conv2d-pointwise": ([(4, 2, 3), (5, 4, 1, 1), (5,)],
+                         lambda x, w, b: conv2d(x, w, b, ConvSpec(4, 5, (1, 1)))),
     "conv2d-dense": ([(4, 1, 5, 5), (6, 4, 3, 3), (6,)],
                      lambda x, w, b: conv2d(x, w, b, ConvSpec(4, 6, (3, 3), padding=1))),
     "conv2d-depthwise": ([(4, 5, 5), (4, 1, 3, 3), (4,)],
