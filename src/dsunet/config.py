@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .tensor import ConfigError, ShapeError
 
@@ -97,23 +98,18 @@ def _require_line_value(key, value):
 class ModelConfig:
     profile: str = "toy"
     variant: str = "full"
-    adapter_ratio: float = 0.25
-    reduced_channels: int = 64
-    loss_weights: tuple[float, float, float] = (0.25, 0.5, 1.0)
     seed: int = 0
+    # constants, not settings: the adapter bottleneck ratio, the RFB width and
+    # the per-level loss weights (d1, d2, d3)
+    adapter_ratio: ClassVar[float] = 0.25
+    reduced_channels: ClassVar[int] = 64
+    loss_weights: ClassVar[tuple[float, float, float]] = (0.25, 0.5, 1.0)
 
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if not 0.0 < self.adapter_ratio <= 1.0:
-            raise ConfigError("adapter_ratio must be in (0, 1]")
-        _require_integer("reduced_channels", self.reduced_channels, 1)
-        if len(self.loss_weights) != 3:
-            raise ConfigError("loss_weights must hold one weight per decoder level (3)")
-        for key, w in zip(_RENAMED_MODEL_KEYS["loss_weights"], self.loss_weights):
-            _require_at_least(key, w, 0)
         _require_integer("model_seed", self.seed, 0)
 
     @property
@@ -125,7 +121,6 @@ class ModelConfig:
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     lr: float = 1e-3
-    weight_decay: float = 5e-4
     batch: int = 4
     epochs: int = 20
     seed: int = 42
@@ -134,10 +129,10 @@ class RunConfig:
     n_val: int = 16
     data_dir: str = ""
     out_dir: str = "runs/out"
+    weight_decay: ClassVar[float] = 5e-4   # AdamW's decoupled decay, a constant
 
     def __post_init__(self):
         _require_at_least("lr", self.lr, 0, strict=True)
-        _require_at_least("weight_decay", self.weight_decay, 0)
         for name, low in (("seed", 0), ("batch", 1), ("epochs", 1), ("n_train", 0),
                           ("n_val", 0)):
             _require_integer(name, getattr(self, name), low)
@@ -149,29 +144,27 @@ class RunConfig:
 
 # the model fields a config file names differently (RunConfig has its own
 # seed); every other field is written under its own name
-_RENAMED_MODEL_KEYS = {
-    "seed": ("model_seed",),
-    "loss_weights": ("loss_w1", "loss_w2", "loss_w3"),
-}
+_RENAMED_MODEL_KEYS = {"seed": "model_seed"}
 
 
 def _settings(run):
     """Yield (file key, value) for each field of ModelConfig, then of
     RunConfig, in declaration order: the config file's lines."""
     for f in fields(ModelConfig):
-        keys = _RENAMED_MODEL_KEYS.get(f.name, (f.name,))
-        value = getattr(run.model, f.name)
-        yield from zip(keys, value if len(keys) > 1 else (value,))
+        yield _RENAMED_MODEL_KEYS.get(f.name, f.name), getattr(run.model, f.name)
     for f in fields(RunConfig):
         if f.name != "model":
             yield f.name, getattr(run, f.name)
 
 
-# removed settings -> the one value every run used, as older files hold it:
-# a line with that value is skipped, and any other value is an error
+# removed settings -> the one value every run used, typed as the setting was:
+# a line that reads as that value is skipped, and any other value is an error
 _RETIRED_KEYS = {
-    "beta2_f": "0.3",               # the F-measure's beta^2
+    "adapter_ratio": 0.25, "reduced_channels": 64,    # ModelConfig constants
+    "loss_w1": 0.25, "loss_w2": 0.5, "loss_w3": 1.0,  # ModelConfig.loss_weights
+    "beta2_f": 0.3,                 # the F-measure's beta^2
     "pixel_weighted_loss": "true",  # the loss's boundary weights
+    "weight_decay": 5e-4,           # RunConfig.weight_decay
 }
 
 
@@ -194,9 +187,14 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key in _RETIRED_KEYS:
-            if raw != _RETIRED_KEYS[key]:
+            old = _RETIRED_KEYS[key]
+            try:
+                same = _coerce(raw, type(old), key) == old
+            except ConfigError:
+                same = False
+            if not same:
                 raise ConfigError(f"line {lineno}: setting {key!r} was removed; it "
-                                  f"may only hold its old value {_RETIRED_KEYS[key]}")
+                                  f"may only hold its old value {old}")
             continue
         if key not in settings:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -204,11 +202,8 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
         seen[key] = lineno
         settings[key] = _coerce(raw, type(settings[key]), key)
-    model = {}
-    for f in fields(ModelConfig):
-        keys = _RENAMED_MODEL_KEYS.get(f.name, (f.name,))
-        values = tuple(settings.pop(k) for k in keys)
-        model[f.name] = values if len(values) > 1 else values[0]
+    model = {f.name: settings.pop(_RENAMED_MODEL_KEYS.get(f.name, f.name))
+             for f in fields(ModelConfig)}
     return RunConfig(model=ModelConfig(**model), **settings)
 
 

@@ -36,9 +36,8 @@ class DSUNetEstimator:
     ``X=None``, fit trains on a synthetic dataset derived from ``seed``.
     """
 
-    def __init__(self, profile="toy", variant="full", adapter_ratio=0.25,
-                 reduced_channels=64, lr=1e-3, weight_decay=5e-4, batch=4,
-                 epochs=5, seed=42, mode="sod", n_train=16):
+    def __init__(self, profile="toy", variant="full", lr=1e-3, batch=4, epochs=5,
+                 seed=42, mode="sod", n_train=16):
         params = dict(locals())
         del params["self"]
         self.set_params(**params)

@@ -371,6 +371,9 @@ def conv2d(x, weight, bias, spec):
     runs one matmul into its slice of the output; the backward pass rebuilds
     a block's columns from the padded input instead of keeping them.
     """
+    if x.data.ndim < 3:
+        raise ShapeError(f"conv2d expects C x H x W or C x N x H x W input, got "
+                         f"shape {x.data.shape}")
     cin, (h, w) = x.data.shape[0], x.data.shape[-2:]
     xd = x.data.reshape(cin, -1, h, w)
     n = xd.shape[1]

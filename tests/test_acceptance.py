@@ -46,7 +46,7 @@ def _read_bytes(path):
 # determinism (criterion 9) repeats it bit-for-bit
 def reference_run(out_dir):
     return RunConfig(model=ModelConfig(profile="toy", variant="full", seed=0),
-                     lr=3e-3, weight_decay=5e-4, batch=4, epochs=20, seed=42,
+                     lr=3e-3, batch=4, epochs=20, seed=42,
                      mode="sod", n_train=64, n_val=16, out_dir=out_dir)
 
 

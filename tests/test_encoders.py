@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -403,8 +404,18 @@ class TestConfigFormat:
     def test_defaults(self):
         run = parse_config_text("")
         assert run.model.profile == "toy"
-        assert run.model.loss_weights == (0.25, 0.5, 1.0)
         assert run.lr == 1e-3
+
+    def test_fixed_values_are_class_constants_not_settings(self):
+        assert ModelConfig.adapter_ratio == 0.25
+        assert ModelConfig.reduced_channels == 64
+        assert ModelConfig.loss_weights == (0.25, 0.5, 1.0)
+        assert RunConfig.weight_decay == 5e-4
+        names = {f.name for cls in (ModelConfig, RunConfig) for f in fields(cls)}
+        assert names.isdisjoint({"adapter_ratio", "reduced_channels", "loss_weights",
+                                 "weight_decay"})
+        with pytest.raises(TypeError):
+            ModelConfig(adapter_ratio=0.5)
 
     def test_parse_overrides_and_comments(self):
         text = """
@@ -412,13 +423,11 @@ class TestConfigFormat:
         profile = toy
         variant = B   # per-level fusion
         lr = 0.003
-        loss_w1 = 0.1
         model_seed = 5
         """
         run = parse_config_text(text)
         assert run.model.variant == "B"
         assert run.lr == 0.003
-        assert run.model.loss_weights == (0.1, 0.5, 1.0)
         assert run.model.seed == 5
 
     def test_unknown_key_rejected(self):
@@ -438,8 +447,7 @@ class TestConfigFormat:
             parse_config_text("lr = fast")
 
     def test_render_round_trip(self):
-        run = RunConfig(model=ModelConfig(profile="toy", variant="C", seed=3,
-                                          loss_weights=(0.2, 0.3, 0.5)),
+        run = RunConfig(model=ModelConfig(profile="toy", variant="C", seed=3),
                         lr=0.0025, epochs=7, mode="cod", out_dir="runs/x")
         back = parse_config_text(render_config(run))
         assert back == run
@@ -447,14 +455,12 @@ class TestConfigFormat:
     def test_render_is_the_pinned_format(self):
         # checkpoints embed this text, so its bytes are part of the format
         assert render_config(RunConfig()) == (
-            "profile = toy\nvariant = full\nadapter_ratio = 0.25\n"
-            "reduced_channels = 64\nloss_w1 = 0.25\nloss_w2 = 0.5\n"
-            "loss_w3 = 1.0\nmodel_seed = 0\nlr = 0.001\nweight_decay = 0.0005\n"
+            "profile = toy\nvariant = full\nmodel_seed = 0\nlr = 0.001\n"
             "batch = 4\nepochs = 20\nseed = 42\nmode = sod\nn_train = 64\n"
             "n_val = 16\ndata_dir = \nout_dir = runs/out\n")
 
     # render_config(RunConfig()) before beta2_f and pixel_weighted_loss were
-    # removed; checkpoints written then embed it
+    # removed (20 keys)
     RETIRED_FORMAT = (
         "profile = toy\nvariant = full\nadapter_ratio = 0.25\n"
         "reduced_channels = 64\nloss_w1 = 0.25\nloss_w2 = 0.5\n"
@@ -466,19 +472,36 @@ class TestConfigFormat:
     def test_retired_keys_at_their_old_default_still_parse(self):
         assert parse_config_text(self.RETIRED_FORMAT) == RunConfig()
 
-    @pytest.mark.parametrize("key, value", [("pixel_weighted_loss", "false"),
-                                            ("beta2_f", "1.0")])
+    def test_format_before_the_fixed_values_became_constants_still_parses(self):
+        # render_config(RunConfig()) while adapter_ratio, reduced_channels,
+        # loss_w1..loss_w3 and weight_decay were settings (18 keys): the text
+        # every checkpoint of the current weight layout written then embeds
+        assert parse_config_text(
+            "profile = toy\nvariant = full\nadapter_ratio = 0.25\n"
+            "reduced_channels = 64\nloss_w1 = 0.25\nloss_w2 = 0.5\n"
+            "loss_w3 = 1.0\nmodel_seed = 0\nlr = 0.001\nweight_decay = 0.0005\n"
+            "batch = 4\nepochs = 20\nseed = 42\nmode = sod\nn_train = 64\n"
+            "n_val = 16\ndata_dir = \nout_dir = runs/out\n") == RunConfig()
+
+    @pytest.mark.parametrize("line", [
+        "weight_decay = 5e-4", "loss_w3 = 1", "adapter_ratio = .25",
+        "reduced_channels = 064", "beta2_f = 0.30"])
+    def test_retired_key_reads_by_value_not_by_text(self, line):
+        assert parse_config_text(f"{line}\n") == RunConfig()
+
+    @pytest.mark.parametrize("key, value", [
+        ("pixel_weighted_loss", "false"), ("beta2_f", "1.0"),
+        ("adapter_ratio", "0.5"), ("reduced_channels", "32"),
+        ("reduced_channels", "2.5"), ("reduced_channels", "2.0"), ("loss_w1", "0.1"), ("loss_w1", "nan"),
+        ("loss_w2", "inf"), ("loss_w3", "0.5"), ("weight_decay", "1e-4"),
+        ("weight_decay", "nan")])
     def test_retired_key_with_another_value_names_line_and_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^line 2: setting '{key}' was removed"):
             parse_config_text(f"lr = 0.01\n{key} = {value}\n")
 
     def test_numpy_scalars_round_trip(self):
         run = RunConfig(
-            model=ModelConfig(adapter_ratio=np.float32(0.5),
-                              reduced_channels=np.int64(32),
-                              loss_weights=(np.float64(0.1), np.float32(0.2), 1.0),
-                              seed=np.int64(3)),
-            lr=np.float64(0.003), weight_decay=np.float32(1e-4),
+            model=ModelConfig(seed=np.int64(3)), lr=np.float64(0.003),
             epochs=np.int64(2), seed=np.int64(5))
         text = render_config(run)
         assert "lr = 0.003\n" in text and "np." not in text
@@ -487,17 +510,12 @@ class TestConfigFormat:
     def test_run_edge_values_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
             RunConfig(epochs=0)
-        with pytest.raises(ConfigError, match="weight_decay"):
-            RunConfig(weight_decay=-1e-4)
         with pytest.raises(ConfigError, match="n_val"):
             RunConfig(n_val=-1)
-        with pytest.raises(ConfigError, match="loss_weights"):
-            ModelConfig(loss_weights=(0.5, 1.0))
-        RunConfig(weight_decay=0.0, n_val=0)   # the boundaries are valid
+        RunConfig(n_val=0)   # the boundary is valid
 
     @pytest.mark.parametrize("line", [
-        "lr = nan", "lr = inf", "weight_decay = nan", "loss_w1 = nan",
-        "loss_w2 = inf", "model_seed = -3", "seed = -1"])
+        "lr = nan", "lr = inf", "model_seed = -3", "seed = -1"])
     def test_non_finite_or_out_of_range_value_names_its_key(self, line):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=f"^{key} must be"):
@@ -505,17 +523,21 @@ class TestConfigFormat:
 
     # config key -> (class, field) of each integer setting
     INTEGER_SETTINGS = {
-        "reduced_channels": (ModelConfig, "reduced_channels"),
         "model_seed": (ModelConfig, "seed"), "seed": (RunConfig, "seed"),
         "batch": (RunConfig, "batch"), "epochs": (RunConfig, "epochs"),
         "n_train": (RunConfig, "n_train"), "n_val": (RunConfig, "n_val")}
 
-    @pytest.mark.parametrize("key", INTEGER_SETTINGS)
+    # reduced_channels is the constant ModelConfig.reduced_channels now, so a
+    # float for it can only arrive on a config line
+    @pytest.mark.parametrize("key", [*INTEGER_SETTINGS, "reduced_channels"])
     @pytest.mark.parametrize("value", [2.5, 2.0])
     def test_integer_setting_rejects_a_float(self, key, value):
-        cls, name = self.INTEGER_SETTINGS[key]
-        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value}"):
-            cls(**{name: value})
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            parse_config_text(f"{key} = {value}\n")
+        if key in self.INTEGER_SETTINGS:
+            cls, name = self.INTEGER_SETTINGS[key]
+            with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value}"):
+                cls(**{name: value})
 
     @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
     @pytest.mark.parametrize("value", [

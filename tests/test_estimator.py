@@ -1,11 +1,12 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import dsunet.data
 from dsunet import DSUNetEstimator
+from dsunet.config import ModelConfig, RunConfig
 from dsunet.data import generate_sample, load_dataset, write_dataset
 from dsunet.harness import fit_samples, load_or_generate
 
@@ -34,6 +35,20 @@ class TestParamPlumbing:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid parameter"):
             DSUNetEstimator().set_params(gamma=0.1)
+
+    def test_fixed_values_are_not_parameters(self):
+        with pytest.raises(TypeError, match="adapter_ratio"):
+            DSUNetEstimator(adapter_ratio=0.5)
+        with pytest.raises(ValueError, match="invalid parameter 'reduced_channels'"):
+            DSUNetEstimator().set_params(reduced_channels=32)
+        assert list(DSUNetEstimator().get_params()) == [
+            "profile", "variant", "lr", "batch", "epochs", "seed", "mode", "n_train"]
+
+    def test_every_parameter_names_a_config_field(self):
+        # _run_config maps parameters onto fields by name, so a parameter
+        # naming no field would be dropped without an error
+        names = {f.name for cls in (ModelConfig, RunConfig) for f in fields(cls)}
+        assert set(DSUNetEstimator().get_params()) <= names
 
 
 class TestFitPredict:

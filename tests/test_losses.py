@@ -59,12 +59,15 @@ class TestPixelWeightMap:
 
 
 _BCE1, _IOU1 = ROW.index("bce1"), ROW.index("iou1")
+# the level-1 weight: a power of two, so scaling by it is exact
+_W1 = ModelConfig.loss_weights[0]
 
 
 def _level1(z, gt):
-    """total_loss with level weights (1, 0, 0), logits ``z`` (H x W, float64)
-    at level 1 and zeros below.  Returns (total, row, level-1 logits)."""
-    cfg = ModelConfig(profile="toy", seed=0, loss_weights=(1.0, 0.0, 0.0))
+    """total_loss with logits ``z`` (H x W, float64) at level 1 and zeros
+    below; level 1's gradient share is ``_W1`` times its row's derivative.
+    Returns (total, row, level-1 logits)."""
+    cfg = ModelConfig(profile="toy", seed=0)
     d1 = Tensor(np.asarray(z, dtype=np.float64)[None], requires_grad=True)
     rest = [Tensor(np.zeros_like(d1.data)) for _ in range(2)]
     total, row = total_loss((d1, *rest), gt, cfg)
@@ -120,7 +123,7 @@ class TestWeightedBCE:
         # p = 0 and 1 exactly, so the BCE share is w (p - g) / Sum(w) and the
         # IoU share p (1 - p) dIoU/dp is 0
         w, p = _weights(gt), np.array([[0.0, 1.0]])
-        np.testing.assert_array_equal(d1.grad, (w * (p - gt) / w.sum())[None])
+        np.testing.assert_array_equal(d1.grad, _W1 * (w * (p - gt) / w.sum())[None])
 
     def test_weighting_reweights_pixels(self):
         # confident and right everywhere but one boundary pixel: the weight
@@ -188,7 +191,7 @@ class TestWeightedIoU:
         # share p (1 - p) dIoU/dp is 0, which leaves the BCE share w (p - g) / Sum(w)
         assert row[_IOU1] == 0.0
         w, p = _weights(gt), np.array([[0.0, 1.0]])
-        np.testing.assert_array_equal(d1.grad, (w * (p - gt) / w.sum())[None])
+        np.testing.assert_array_equal(d1.grad, _W1 * (w * (p - gt) / w.sum())[None])
 
     def test_in_unit_interval(self):
         for seed in range(10):
@@ -198,15 +201,15 @@ class TestWeightedIoU:
             assert 0.0 <= v < 1.0
 
     def test_gradient(self):
-        # the level-1 gradient less the closed-form BCE share is the
-        # derivative of the iou1 column
+        # the level-1 gradient, unscaled by _W1, less the closed-form BCE
+        # share is the derivative of the iou1 column
         z, gt = _random_case(6, n=5)
         w = _weights(gt)
         p = 1.0 / (1.0 + np.exp(-z))
         total, _, d1 = _level1(z, gt)
         total.backward()
         numeric = _central_diff(lambda v: _level1(v, gt)[1][_IOU1], z)
-        np.testing.assert_allclose(d1.grad[0] - w * (p - gt) / w.sum(), numeric,
+        np.testing.assert_allclose(d1.grad[0] / _W1 - w * (p - gt) / w.sum(), numeric,
                                    atol=1e-8)
 
 
@@ -239,14 +242,6 @@ class TestTotalLoss:
         want = sum(lw * lv for lw, lv in zip(cfg.loss_weights, row[2:9:3]))
         assert row[-1] == pytest.approx(want, rel=1e-5)
         assert float(total.data) == row[-1]
-
-    def test_custom_level_weights(self):
-        rng = np.random.default_rng(2)
-        outputs = self._outputs(rng)
-        gt = (rng.random((16, 16)) > 0.5).astype(np.float32)
-        cfg = ModelConfig(profile="toy", seed=0, loss_weights=(1.0, 0.0, 0.0))
-        total, row = total_loss(outputs, gt, cfg)
-        assert float(total.data) == pytest.approx(row[ROW.index("level1")], rel=1e-6)
 
     def test_backward_reaches_all_levels(self):
         rng = np.random.default_rng(4)

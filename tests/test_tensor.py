@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -257,6 +258,13 @@ class TestLinear:
         # the spatial axes are not mixed: only the leading extent must be Cin
         with pytest.raises(ShapeError, match="input has 2 channels, spec expects 4"):
             self._pointwise(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 4, 1, 1))),
+                            zeros(2))
+
+    @pytest.mark.parametrize("xshape", [(4, 5), (4,)])
+    def test_input_below_three_axes_names_shape_and_contract(self, xshape):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"C x H x W or C x N x H x W input, got shape {xshape}")):
+            self._pointwise(Tensor(np.zeros(xshape)), Tensor(np.zeros((2, 4, 1, 1))),
                             zeros(2))
 
     def test_gradient_vs_finite_differences(self):
