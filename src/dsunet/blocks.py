@@ -80,13 +80,13 @@ class Adapter(Module):
     """Residual bottleneck applied per position over the channel axis.
 
     1x1 conv (C -> b) -> GeLU -> 1x1 conv (b -> C) -> GeLU, added to the
-    input.  The up-projection starts at zero so training begins from the
-    frozen features unperturbed.
+    input; b is ``ModelConfig.adapter_ratio`` of C.  The up-projection starts
+    at zero so training begins from the frozen features unperturbed.
     """
 
-    def __init__(self, channels, ratio, init):
+    def __init__(self, channels, init):
         super().__init__()
-        bottleneck = max(1, round(channels * ratio))
+        bottleneck = max(1, round(channels * ModelConfig.adapter_ratio))
         self.down = self.add("down", Conv2d(channels, bottleneck, 1, init))
         self.up = self.add("up", Conv2d(bottleneck, channels, 1, init))
         self.up.weight.data[:] = 0.0
@@ -285,7 +285,7 @@ class DSUNet(Module):
 
         chans = profile.hiera_channels
         self.adapters = [
-            self.add(f"adapter{i + 1}", Adapter(c, config.adapter_ratio, init))
+            self.add(f"adapter{i + 1}", Adapter(c, init))
             for i, c in enumerate(chans)
         ]
 

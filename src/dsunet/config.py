@@ -168,11 +168,11 @@ _RETIRED_KEYS = {
 }
 
 
-def _coerce(raw, typ, key):
+def _coerce(raw, typ, key, lineno):
     try:
         return typ(raw)
     except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from None
+        raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from None
 
 
 def parse_config_text(text):
@@ -186,10 +186,13 @@ def parse_config_text(text):
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         if key in _RETIRED_KEYS:
             old = _RETIRED_KEYS[key]
             try:
-                same = _coerce(raw, type(old), key) == old
+                same = _coerce(raw, type(old), key, lineno) == old
             except ConfigError:
                 same = False
             if not same:
@@ -198,10 +201,7 @@ def parse_config_text(text):
             continue
         if key not in settings:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
-        seen[key] = lineno
-        settings[key] = _coerce(raw, type(settings[key]), key)
+        settings[key] = _coerce(raw, type(settings[key]), key, lineno)
     model = {f.name: settings.pop(_RENAMED_MODEL_KEYS.get(f.name, f.name))
              for f in fields(ModelConfig)}
     return RunConfig(model=ModelConfig(**model), **settings)

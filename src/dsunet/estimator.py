@@ -36,8 +36,9 @@ class DSUNetEstimator:
     ``X=None``, fit trains on a synthetic dataset derived from ``seed``.
     """
 
-    def __init__(self, profile="toy", variant="full", lr=1e-3, batch=4, epochs=5,
-                 seed=42, mode="sod", n_train=16):
+    def __init__(self, profile=ModelConfig.profile, variant=ModelConfig.variant,
+                 lr=RunConfig.lr, batch=RunConfig.batch, epochs=5,
+                 seed=RunConfig.seed, mode=RunConfig.mode, n_train=16):
         params = dict(locals())
         del params["self"]
         self.set_params(**params)

@@ -29,6 +29,7 @@ import numpy as np
 from .data import read_mask
 
 EPS = 1e-8
+BETA2 = 0.3   # F-measure's beta^2, the standard SOD/COD protocol
 
 # 255 uniform binarization thresholds spanning (0, 1)
 _THRESHOLDS = (np.arange(255) + 0.5) / 255.0
@@ -96,7 +97,7 @@ def _confusion_counts(pred, gt_fg, policy):
     return reached[1], reached[0]
 
 
-def f_measure(pred, gt, beta2=0.3, policy="adaptive"):
+def f_measure(pred, gt, policy="adaptive"):
     pred, gt = _check(pred, gt)
     gt_fg = gt >= 0.5
     n_fg = float(np.count_nonzero(gt_fg))
@@ -106,7 +107,7 @@ def f_measure(pred, gt, beta2=0.3, policy="adaptive"):
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = tp / (tp + fp)
         recall = tp / n_fg
-        f = (1 + beta2) * precision * recall / (beta2 * precision + recall)
+        f = (1 + BETA2) * precision * recall / (BETA2 * precision + recall)
     return float(np.mean(np.where(tp > 0.0, f, 0.0)))
 
 
@@ -194,14 +195,14 @@ def s_measure(pred, gt):
     return max(0.0, 0.5 * s_object + 0.5 * s_region)
 
 
-# column -> score(pred, gt).  Each entry looks f_measure / e_measure up
-# in the module when it runs, so a wrapper set on the module later is called.
+# column -> score(pred, gt).  Each entry looks its scorer up in the module when
+# it runs and passes the policy by keyword, for a wrapper set there later.
 _SCORERS = {
     "S": lambda pred, gt: s_measure(pred, gt),
-    "Fadp": lambda pred, gt: f_measure(pred, gt, 0.3, "adaptive"),
-    "Fmean": lambda pred, gt: f_measure(pred, gt, 0.3, "mean_thresholds"),
-    "Eadp": lambda pred, gt: e_measure(pred, gt, "adaptive"),
-    "Emean": lambda pred, gt: e_measure(pred, gt, "mean_thresholds"),
+    "Fadp": lambda pred, gt: f_measure(pred, gt, policy="adaptive"),
+    "Fmean": lambda pred, gt: f_measure(pred, gt, policy="mean_thresholds"),
+    "Eadp": lambda pred, gt: e_measure(pred, gt, policy="adaptive"),
+    "Emean": lambda pred, gt: e_measure(pred, gt, policy="mean_thresholds"),
     "MAE": lambda pred, gt: mae(pred, gt),
 }
 _COLUMNS = tuple(_SCORERS)

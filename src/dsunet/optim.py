@@ -15,21 +15,19 @@ class AdamW:
     """theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta).
 
     Decay is decoupled: it scales the parameter directly and is never
-    added to the gradient.  Only tensors with ``requires_grad`` on may be
-    registered.
+    added to the gradient; the caller owns lr and wd.  Only tensors with
+    ``requires_grad`` on may be registered.
     """
 
-    def __init__(self, params, lr=1e-3, weight_decay=5e-4, beta1=0.9,
-                 beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8   # AdamW's usual constants
+
+    def __init__(self, params, lr, weight_decay):
         for name, p in params.items():
             if not p.requires_grad:
                 raise ValueError(f"frozen tensor {name!r} passed to the optimizer")
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}

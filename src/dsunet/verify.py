@@ -64,7 +64,7 @@ def _brute_mean_over_thresholds(pred, g, score):
     return total / 255.0
 
 
-def _brute_f(binary, g, beta2=0.3):
+def _brute_f(binary, g):
     tp = fp = fn = 0
     for brow, grow in zip(binary, g):
         for c, y in zip(brow, grow):
@@ -78,10 +78,10 @@ def _brute_f(binary, g, beta2=0.3):
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
-    return (1 + beta2) * precision * recall / (beta2 * precision + recall)
+    return (1 + 0.3) * precision * recall / (0.3 * precision + recall)
 
 
-def _brute_e(binary, g, eps=1e-8):
+def _brute_e(binary, g):
     cells = [(c, y) for brow, grow in zip(binary, g) for c, y in zip(brow, grow)]
     n = len(cells)
     mean_c = sum(c for c, _ in cells) / n
@@ -95,7 +95,7 @@ def _brute_e(binary, g, eps=1e-8):
         else:
             phi_c = c - mean_c
             phi_g = y - mean_g
-            xi = 2.0 * phi_c * phi_g / (phi_c * phi_c + phi_g * phi_g + eps)
+            xi = 2.0 * phi_c * phi_g / (phi_c * phi_c + phi_g * phi_g + 1e-8)
             total += (xi + 1.0) ** 2 / 4.0
     return total / n
 
@@ -124,7 +124,7 @@ def check_block_gradients(seeds=range(5), tol=1e-4):
         check("conv_gelu_conv", lambda: c2(gelu(c1(x))),
               c1.parameters() + c2.parameters() + [x])
 
-        adapter = Adapter(8, 0.25, init)
+        adapter = Adapter(8, init)
         adapter.up.weight.data = rng.standard_normal(
             adapter.up.weight.data.shape).astype(np.float32) * 0.1
         x = Tensor(rng.standard_normal((8, 4, 4)))
@@ -223,10 +223,10 @@ def check_metric_oracles(seeds=range(20)):
     for pred, g in pairs + [_threshold_neighbour_pair()]:
         worst_fmean = max(worst_fmean, abs(
             _brute_mean_over_thresholds(pred, g, _brute_f)
-            - f_measure(pred, g, 0.3, "mean_thresholds")))
+            - f_measure(pred, g, policy="mean_thresholds")))
         worst_emean = max(worst_emean, abs(
             _brute_mean_over_thresholds(pred, g, _brute_e)
-            - e_measure(pred, g, "mean_thresholds")))
+            - e_measure(pred, g, policy="mean_thresholds")))
     results.append(("metric:fmean_oracle", bool(worst_fmean < 1e-12),
                     f"worst diff {worst_fmean:.2e}"))
     results.append(("metric:emean_oracle", bool(worst_emean < 1e-12),

@@ -15,7 +15,7 @@ from dsunet.blocks import (
     haar_dwt2,
     haar_idwt2,
 )
-from dsunet.config import PROFILES, ModelConfig
+from dsunet.config import PROFILES, ModelConfig, RunConfig
 from dsunet.encoders import ToyViT
 from dsunet.losses import total_loss
 from dsunet.nn import seeded_init
@@ -102,18 +102,18 @@ class TestAdapter:
     def test_initial_forward_is_identity(self):
         # the up-projection starts at zero, so only the residual path is live
         rng = np.random.default_rng(0)
-        ad = Adapter(8, ratio=0.25, init=seeded_init(rng))
+        ad = Adapter(8, init=seeded_init(rng))
         x = Tensor(rng.standard_normal((8, 3, 3)).astype(np.float32))
         out = ad.forward(x)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def test_bottleneck_width(self):
-        ad = Adapter(16, ratio=0.25, init=seeded_init(np.random.default_rng(0)))
+        ad = Adapter(16, init=seeded_init(np.random.default_rng(0)))
         assert ad.down.weight.shape == (4, 16, 1, 1)
         assert ad.up.weight.shape == (16, 4, 1, 1)
 
     def test_all_parameters_trainable(self):
-        ad = Adapter(8, ratio=0.25, init=seeded_init(np.random.default_rng(1)))
+        ad = Adapter(8, init=seeded_init(np.random.default_rng(1)))
         assert all(p.requires_grad for p in ad.named_parameters().values())
 
 
@@ -381,10 +381,12 @@ class TestModelAssembly:
         _, after, _, by_module_after = model.parameter_counts()
         assert after == before + params[enc].size - params[dec].size
         assert by_module_after["encoder"][1] == by_module["encoder"][1] + params[enc].size
-        optimizer = AdamW(trainable)
+        optimizer = AdamW(trainable, lr=RunConfig.lr,
+                          weight_decay=RunConfig.weight_decay)
         assert enc in optimizer.params and dec not in optimizer.params
         with pytest.raises(ValueError, match="frozen tensor"):
-            AdamW({dec: params[dec]})
+            AdamW({dec: params[dec]}, lr=RunConfig.lr,
+                  weight_decay=RunConfig.weight_decay)
 
     def test_same_seed_same_weights(self):
         a = DSUNet(ModelConfig(profile="toy", seed=7))

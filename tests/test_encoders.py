@@ -1,3 +1,4 @@
+import inspect
 import re
 import struct
 from dataclasses import fields
@@ -5,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import dsunet.metrics
 from dsunet.blocks import Adapter, DSUNet
 from dsunet.config import PROFILES, ModelConfig, RunConfig, parse_config_text, render_config
 from dsunet.container import (
@@ -24,6 +26,7 @@ from dsunet.encoders import (
     write_feature_file,
 )
 from dsunet.nn import placeholder_init, seeded_init
+from dsunet.optim import AdamW
 from dsunet.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -417,6 +420,16 @@ class TestConfigFormat:
         with pytest.raises(TypeError):
             ModelConfig(adapter_ratio=0.5)
 
+    def test_fixed_values_are_not_function_parameters(self):
+        # beta^2, the adapter ratio and AdamW's moment settings each have one
+        # copy, and the learning rate and decay come from the caller
+        assert str(inspect.signature(dsunet.metrics.f_measure)) == (
+            "(pred, gt, policy='adaptive')")
+        assert str(inspect.signature(Adapter)) == "(channels, init)"
+        assert str(inspect.signature(AdamW)) == "(params, lr, weight_decay)"
+        assert dsunet.metrics.BETA2 == 0.3
+        assert (AdamW.beta1, AdamW.beta2, AdamW.eps) == (0.9, 0.999, 1e-8)
+
     def test_parse_overrides_and_comments(self):
         text = """
         # training setup
@@ -445,6 +458,15 @@ class TestConfigFormat:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("lr = fast")
+
+    def test_bad_value_names_its_line(self):
+        with pytest.raises(ConfigError, match="^line 2: bad value for lr: 'fast'$"):
+            parse_config_text("epochs = 2\nlr = fast\n")
+
+    def test_repeated_retired_key_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^line 2: key 'beta2_f' already set on line 1$"):
+            parse_config_text("beta2_f = 0.3\nbeta2_f = 0.3\n")
 
     def test_render_round_trip(self):
         run = RunConfig(model=ModelConfig(profile="toy", variant="C", seed=3),

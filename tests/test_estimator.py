@@ -1,3 +1,4 @@
+import inspect
 import re
 from dataclasses import fields, replace
 
@@ -49,6 +50,16 @@ class TestParamPlumbing:
         # naming no field would be dropped without an error
         names = {f.name for cls in (ModelConfig, RunConfig) for f in fields(cls)}
         assert set(DSUNetEstimator().get_params()) <= names
+
+    def test_defaults_are_the_configs_but_epochs_and_n_train(self):
+        # seed sets both configs' seeds; its default is the run's
+        config = {f.name: f.default for cls in (ModelConfig, RunConfig)
+                  for f in fields(cls)}
+        defaults = {name: p.default for name, p in
+                    inspect.signature(DSUNetEstimator).parameters.items()}
+        assert (defaults.pop("epochs"), defaults.pop("n_train")) == (5, 16)
+        assert defaults == {name: config[name] for name in defaults}
+        assert config["epochs"] != 5 and config["n_train"] != 16
 
 
 class TestFitPredict:

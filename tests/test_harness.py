@@ -48,7 +48,8 @@ class TestAdamW:
     def test_rejects_frozen(self):
         p = Tensor(np.zeros(3), requires_grad=False)
         with pytest.raises(ValueError, match="frozen"):
-            AdamW({"w": p})
+            AdamW({"w": p}, lr=RunConfig.lr,
+                  weight_decay=RunConfig.weight_decay)
 
     def test_first_step_direction(self):
         # with a constant gradient the first update is -lr * (1 + wd)
@@ -76,7 +77,8 @@ class TestAdamW:
 
     def test_non_finite_gradient_raises(self):
         p = self._param()
-        opt = AdamW({"w": p})
+        opt = AdamW({"w": p}, lr=RunConfig.lr,
+                    weight_decay=RunConfig.weight_decay)
         p.grad = np.array([1.0, np.nan, 0.0])
         with pytest.raises(NonFiniteGradient, match="'w'"):
             opt.step()
@@ -86,7 +88,7 @@ class TestAdamW:
         p1 = Tensor(rng.standard_normal(4), requires_grad=True)
         p2 = Tensor(rng.standard_normal(4).copy(), requires_grad=True)
         p2.data[:] = p1.data
-        a = AdamW({"w": p1}, lr=0.05)
+        a = AdamW({"w": p1}, lr=0.05, weight_decay=RunConfig.weight_decay)
         for _ in range(3):
             p1.grad = rng.standard_normal(4)
             saved_grad = p1.grad.copy()
@@ -95,7 +97,7 @@ class TestAdamW:
         state = {k: v.copy() for k, v in a.state_tensors().items()}
         p2.data[:] = p1.data  # weights travel separately from optimizer state
 
-        b = AdamW({"w": p2}, lr=0.05)
+        b = AdamW({"w": p2}, lr=0.05, weight_decay=RunConfig.weight_decay)
         b.load_state_tensors(state)
         assert b.step_count == a.step_count
         # one more identical step from restored state matches exactly

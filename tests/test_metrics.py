@@ -321,9 +321,9 @@ class TestCountsMatchPerThreshold:
             assert abs(got - per_threshold_e(pred, gt, policy)) < 1e-12, policy
             if not (np.asarray(gt) >= 0.5).any():
                 with pytest.raises(UndefinedMetric):
-                    f_measure(pred, gt, 0.3, policy)
+                    f_measure(pred, gt, policy)
                 continue
-            got = f_measure(pred, gt, 0.3, policy)
+            got = f_measure(pred, gt, policy)
             assert abs(got - per_threshold_f(pred, gt, 0.3, policy)) < 1e-12, policy
 
     @pytest.mark.parametrize("gt_kind", ["mixed", "all_fg", "all_bg"])
@@ -346,9 +346,9 @@ class TestCountsMatchPerThreshold:
         gt[:2] = 1.0
         pred = gt.copy()
         pred[0, 0] = np.nan   # a NaN that counted as positive would raise F
-        assert f_measure(pred, gt, 0.3, "mean_thresholds") == pytest.approx(
+        assert f_measure(pred, gt, "mean_thresholds") == pytest.approx(
             per_threshold_f(pred, gt, 0.3, "mean_thresholds"), abs=1e-12)
-        assert f_measure(pred, gt, 0.3, "mean_thresholds") < 1.0
+        assert f_measure(pred, gt, "mean_thresholds") < 1.0
 
 
 def _nudged_threshold(k, ulps):
@@ -492,23 +492,24 @@ class TestReports:
 
     def test_report_calls_scorers_through_the_module(self, monkeypatch):
         # a wrapper set on the module after import (a tracer, say) sees every
-        # call, with the prediction first and the policy positional
+        # call, with exactly (pred, gt) positional and the policy by keyword
         import dsunet.metrics as module
 
         (stem, pred, gt), = self._pairs(1)
         calls = []
         for name in ("s_measure", "f_measure", "e_measure", "mae"):
-            def wrapper(*args, _name=name, _fn=getattr(module, name)):
-                calls.append((_name, args[0] is pred, args[2:]))
-                return _fn(*args)
+            def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                same = len(args) == 2 and args[0] is pred and args[1] is gt
+                calls.append((_name, same, kwargs))
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
         compute_report([(stem, pred, gt)])
-        assert calls == [("s_measure", True, ()),
-                         ("f_measure", True, (0.3, "adaptive")),
-                         ("f_measure", True, (0.3, "mean_thresholds")),
-                         ("e_measure", True, ("adaptive",)),
-                         ("e_measure", True, ("mean_thresholds",)),
-                         ("mae", True, ())]
+        assert calls == [("s_measure", True, {}),
+                         ("f_measure", True, {"policy": "adaptive"}),
+                         ("f_measure", True, {"policy": "mean_thresholds"}),
+                         ("e_measure", True, {"policy": "adaptive"}),
+                         ("e_measure", True, {"policy": "mean_thresholds"}),
+                         ("mae", True, {})]
 
 
 class TestEvaluateDataset:
