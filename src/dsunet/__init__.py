@@ -3,12 +3,13 @@
 from .blocks import DSUNet
 from .config import PROFILES, ModelConfig, RunConfig
 from .estimator import DSUNetEstimator
-from .tensor import ConvSpec, Tensor, grad_check
+from .tensor import ConvSpec, DsuError, Tensor, grad_check
 
 __all__ = [
     "ConvSpec",
     "DSUNet",
     "DSUNetEstimator",
+    "DsuError",
     "ModelConfig",
     "PROFILES",
     "RunConfig",

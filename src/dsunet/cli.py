@@ -8,13 +8,16 @@ from dataclasses import replace
 
 from . import harness
 from .blocks import DSUNet
-from .config import parse_config_file
+from .config import _require_integer, parse_config_file
 from .data import generate_dataset, write_dataset
 from .metrics import evaluate_dataset, report_csv, report_table
 from .nn import placeholder_init
+from .tensor import DsuError
 
 
 def _cmd_gen_data(args):
+    _require_integer("--n", args.n, 1)
+    _require_integer("--seed", args.seed, 0)
     samples, seeds = generate_dataset(args.n, args.mode, args.profile, args.seed)
     write_dataset(args.out, samples, seeds)
     print(f"wrote {len(samples)} {args.mode} samples to {args.out}")
@@ -82,19 +85,6 @@ def _cmd_verify(_args):
     return 0 if failed == 0 else 1
 
 
-def _int_at_least(low):
-    """An argparse type: an integer >= ``low``; anything else is a usage error
-    (exit 2) that names the flag."""
-    def parse(text):
-        value = int(text)  # argparse reports a ValueError as "invalid int value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"
-    return parse
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="dsu",
                                      description="dual-encoder segmentation toolkit")
@@ -102,9 +92,9 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("sod", "cod"), default="sod")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=("toy", "large"), default="toy")
     p.set_defaults(fn=_cmd_gen_data)
 
@@ -142,8 +132,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a rejected input (DsuError, OSError) is one stderr line, exit 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DsuError, OSError) as exc:
+        message = " ".join(str(exc).splitlines())  # a path may hold a line break
+        print(f"dsu {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

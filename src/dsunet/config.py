@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
 from .tensor import ConfigError, ShapeError
@@ -142,16 +142,17 @@ class RunConfig:
             _require_line_value(name, getattr(self, name))
 
 
-# the model fields a config file names differently (RunConfig has its own
-# seed); every other field is written under its own name
-_RENAMED_MODEL_KEYS = {"seed": "model_seed"}
+# config file key -> ModelConfig field: the model's seed is written model_seed
+# (RunConfig has its own seed), every other field under its own name
+_MODEL_KEYS = {("model_seed" if f.name == "seed" else f.name): f.name
+               for f in fields(ModelConfig)}
 
 
 def _settings(run):
     """Yield (file key, value) for each field of ModelConfig, then of
     RunConfig, in declaration order: the config file's lines."""
-    for f in fields(ModelConfig):
-        yield _RENAMED_MODEL_KEYS.get(f.name, f.name), getattr(run.model, f.name)
+    for key, name in _MODEL_KEYS.items():
+        yield key, getattr(run.model, name)
     for f in fields(RunConfig):
         if f.name != "model":
             yield f.name, getattr(run, f.name)
@@ -168,48 +169,58 @@ _RETIRED_KEYS = {
 }
 
 
-def _coerce(raw, typ, key, lineno):
+def _coerce(raw, typ, key):
     try:
         return typ(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from None
+        raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
 def parse_config_text(text):
-    """Parse `key = value` lines (# comments) into a RunConfig; each value
-    takes its default's type, and a key left out keeps its default."""
-    settings, seen = dict(_settings(RunConfig())), {}
+    """Parse `key = value` lines (# comments) into a RunConfig: a value takes its
+    default's type and is checked as its line is read; an error names the line."""
+    run, seen = RunConfig(), {}
+    settings = dict(_settings(run))
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in seen:
-            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
-        seen[key] = lineno
-        if key in _RETIRED_KEYS:
-            old = _RETIRED_KEYS[key]
-            try:
-                same = _coerce(raw, type(old), key, lineno) == old
-            except ConfigError:
-                same = False
-            if not same:
-                raise ConfigError(f"line {lineno}: setting {key!r} was removed; it "
-                                  f"may only hold its old value {old}")
-            continue
-        if key not in settings:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        settings[key] = _coerce(raw, type(settings[key]), key, lineno)
-    model = {f.name: settings.pop(_RENAMED_MODEL_KEYS.get(f.name, f.name))
-             for f in fields(ModelConfig)}
-    return RunConfig(model=ModelConfig(**model), **settings)
+        try:
+            if "=" not in stripped:
+                raise ConfigError("expected 'key = value'")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key in seen:
+                raise ConfigError(f"key {key!r} already set on line {seen[key]}")
+            seen[key] = lineno
+            if key in _RETIRED_KEYS:
+                old = _RETIRED_KEYS[key]
+                try:
+                    same = _coerce(raw, type(old), key) == old
+                except ConfigError:
+                    same = False
+                if not same:
+                    raise ConfigError(f"setting {key!r} was removed; it may only "
+                                      f"hold its old value {old}")
+                continue
+            if key not in settings:
+                raise ConfigError(f"unknown key {key!r}")
+            value = _coerce(raw, type(settings[key]), key)
+            if key in _MODEL_KEYS:  # replace() runs each __post_init__ check
+                run = replace(run, model=replace(run.model, **{_MODEL_KEYS[key]: value}))
+            else:
+                run = replace(run, **{key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+    return run
 
 
 def parse_config_file(path):
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+    return parse_config_text(text)
 
 
 def render_config(run):

@@ -14,25 +14,15 @@ import struct
 
 import numpy as np
 
+from .tensor import DsuError
+
 MAGIC_FEATURES = b"DSUF"
 MAGIC_CHECKPOINT = b"DSUT"
 VERSION = 1
 
 
-class ContainerError(ValueError):
-    """Base class for container format failures."""
-
-
-class BadMagicError(ContainerError):
-    pass
-
-
-class BadVersionError(ContainerError):
-    pass
-
-
-class TruncatedError(ContainerError):
-    pass
+class ContainerError(DsuError, ValueError):
+    """A file that is not a well-formed container of the expected kind."""
 
 
 def _byte_view(arr):
@@ -71,30 +61,31 @@ class _Reader:
         self.f = f
         self.left = os.fstat(f.fileno()).st_size
 
+    def _require(self, ok, what):
+        if not ok:
+            raise ContainerError(f"{self.f.name}: truncated payload while reading {what}")
+
     def _claim(self, n, what):
-        if n > self.left:
-            raise TruncatedError(f"truncated payload while reading {what}")
+        self._require(n <= self.left, what)
         self.left -= n
 
     def take(self, n, what):
         self._claim(n, what)
         chunk = self.f.read(n)
-        if len(chunk) != n:
-            raise TruncatedError(f"truncated payload while reading {what}")
+        self._require(len(chunk) == n, what)
         return chunk
 
     def take_array(self, dims, what):
         n = 4 * math.prod(dims)
         self._claim(n, what)
         arr = np.empty(dims, dtype="<f4")
-        if n and self.f.readinto(_byte_view(arr)) != n:
-            raise TruncatedError(f"truncated payload while reading {what}")
+        self._require(not n or self.f.readinto(_byte_view(arr)) == n, what)
         return arr.astype(np.float32, copy=False)
 
 
 def read_container(path, magic=MAGIC_FEATURES):
-    """Read a container back into a name -> float32 array dict; a name that
-    is not UTF-8 or appears twice is a ContainerError.
+    """Read a container back into a name -> float32 array dict; a malformed file
+    (a name not UTF-8 or given twice too) is a ContainerError naming ``path``.
 
     Each payload is read into a new array of its own; on a little-endian
     machine that array is returned as it is, with no further copy.
@@ -103,19 +94,19 @@ def read_container(path, magic=MAGIC_FEATURES):
         r = _Reader(f)
         got = r.take(4, "magic")
         if got != magic:
-            raise BadMagicError(f"bad magic {got!r}, expected {magic!r}")
+            raise ContainerError(f"{path}: bad magic {got!r}, expected {magic!r}")
         version, count = struct.unpack("<II", r.take(8, "header"))
         if version != VERSION:
-            raise BadVersionError(f"unsupported version {version}")
+            raise ContainerError(f"{path}: unsupported version {version}")
         out = {}
         for i in range(count):
             (name_len,) = struct.unpack("<I", r.take(4, "name length"))
             try:
                 name = r.take(name_len, "name").decode("utf-8")
             except UnicodeDecodeError:
-                raise ContainerError(f"tensor {i}: name is not UTF-8") from None
+                raise ContainerError(f"{path}: tensor {i}: name is not UTF-8") from None
             if name in out:
-                raise ContainerError(f"tensor {i}: name {name!r} appears twice")
+                raise ContainerError(f"{path}: tensor {i}: name {name!r} appears twice")
             (ndim,) = struct.unpack("<I", r.take(4, "ndim"))
             dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim, "dims"))
             out[name] = r.take_array(dims, f"payload of {name!r}")

@@ -15,22 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PROFILES
+from .tensor import ConfigError, DsuError
 
 
-class PgmError(ValueError):
-    pass
-
-
-class PgmHeaderError(PgmError):
-    pass
-
-
-class PgmMaxvalError(PgmError):
-    pass
-
-
-class PgmTruncatedError(PgmError):
-    pass
+class PgmError(DsuError, ValueError):
+    """A PGM file this module cannot read, or an array it cannot write as one."""
 
 
 def write_pgm(path, values):
@@ -47,20 +36,20 @@ def write_pgm(path, values):
         f.write(data.tobytes())
 
 
-def _read_pgm_tokens(data, count):
+def _read_pgm_tokens(data, count, path):
     """Read `count` whitespace-separated header tokens (skipping # comments)."""
     tokens = []
     pos = 0
     while len(tokens) < count:
         if pos >= len(data):
-            raise PgmHeaderError("malformed PGM header: ran out of data")
+            raise PgmError(f"{path}: malformed PGM header: ran out of data")
         ch = data[pos : pos + 1]
         if ch.isspace():
             pos += 1
         elif ch == b"#":
             nl = data.find(b"\n", pos)
             if nl < 0:
-                raise PgmHeaderError("malformed PGM header: unterminated comment")
+                raise PgmError(f"{path}: malformed PGM header: unterminated comment")
             pos = nl + 1
         else:
             m = re.match(rb"[^\s#]+", data[pos:])
@@ -70,26 +59,26 @@ def _read_pgm_tokens(data, count):
 
 
 def read_pgm(path):
-    """Read a binary PGM into an H x W float array in [0, 1]."""
+    """Read a binary PGM into an H x W float array in [0, 1]; PgmError names path."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
-        raise PgmHeaderError("malformed PGM header: missing P5 signature")
-    tokens, pos = _read_pgm_tokens(data[2:], 3)
+        raise PgmError(f"{path}: malformed PGM header: missing P5 signature")
+    tokens, pos = _read_pgm_tokens(data[2:], 3, path)
     pos += 2
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
-        raise PgmHeaderError(f"malformed PGM header: non-numeric fields {tokens}")
+        raise PgmError(f"{path}: malformed PGM header: non-numeric fields {tokens}")
     if w < 1 or h < 1:
-        raise PgmHeaderError(f"malformed PGM header: {w} x {h} image")
+        raise PgmError(f"{path}: malformed PGM header: {w} x {h} image")
     if maxval != 255:
-        raise PgmMaxvalError(f"unsupported PGM maxval {maxval}, expected 255")
+        raise PgmError(f"{path}: unsupported PGM maxval {maxval}, expected 255")
     pos += 1  # the single whitespace byte after maxval
     payload = data[pos : pos + h * w]
     if len(payload) < h * w:
-        raise PgmTruncatedError(
-            f"truncated PGM payload: expected {h * w} bytes, got {len(payload)}")
+        raise PgmError(f"{path}: truncated PGM payload: expected {h * w} bytes, "
+                       f"got {len(payload)}")
     return (np.frombuffer(payload, dtype=np.uint8)
             .reshape(h, w).astype(np.float64) / 255.0)
 
@@ -267,8 +256,8 @@ def load_dataset(root, limit=None):
                    if line.strip()]
     for lineno, fields in entries:
         if len(fields) != 2:
-            raise ValueError(f"{manifest} line {lineno}: expected 'id seed', "
-                             f"got {' '.join(fields)!r}")
+            raise ConfigError(f"{manifest} line {lineno}: expected 'id seed', "
+                              f"got {' '.join(fields)!r}")
     samples = []
     for _, (sample_id, _seed) in entries[:limit]:
         main = read_image_planes(os.path.join(root, "images-main"), sample_id)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .blocks import DSUNet
 from .config import VARIANTS, RunConfig, parse_config_text, render_config
-from .container import MAGIC_CHECKPOINT, read_container, write_container
+from .container import MAGIC_CHECKPOINT, ContainerError, read_container, write_container
 from .data import (
     Sample,
     augment_flip,
@@ -22,13 +22,13 @@ from .losses import ROW, total_loss
 from .metrics import compute_report
 from .nn import placeholder_init
 from .optim import AdamW
-from .tensor import Tensor, logistic
+from .tensor import ConfigError, DsuError, Tensor, logistic
 
 # seed offset separating validation sample streams from training streams
 VAL_SEED_OFFSET = 100_000
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(DsuError, RuntimeError):
     pass
 
 
@@ -51,18 +51,21 @@ def load_checkpoint(path):
     The model is built from the config with placeholder storage and no random
     draw; each parameter is then the array that :func:`read_container`
     returned, not a copy: the raw dict shares them with the model, so writing
-    into one changes the other.
+    into one changes the other.  A malformed file is a ContainerError naming it.
     """
     tensors = read_container(path, magic=MAGIC_CHECKPOINT)
-    config_text = bytes(tensors["__config__"].astype(np.uint8)).decode("utf-8")
+    try:
+        config_text = bytes(tensors["__config__"].astype(np.uint8)).decode("utf-8")
+    except (KeyError, UnicodeDecodeError):
+        raise ContainerError(f"{path}: checkpoint holds no UTF-8 '__config__' tensor") from None
     run = parse_config_text(config_text)
     model = DSUNet(run.model, init=placeholder_init)
     for name, p in model.named_parameters().items():
         if name not in tensors:
-            raise KeyError(f"checkpoint is missing parameter {name!r}")
+            raise ContainerError(f"{path}: checkpoint is missing parameter {name!r}")
         if tensors[name].shape != p.data.shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape "
-                             f"{tensors[name].shape}, model expects {p.data.shape}")
+            raise ContainerError(f"{path}: checkpoint parameter {name!r} has shape "
+                                 f"{tensors[name].shape}, model expects {p.data.shape}")
         p.data = tensors[name]
     return model, run, tensors
 
@@ -146,11 +149,11 @@ def _train_step(model, pyramid, gt, scale, where):
 
 
 def _check_samples(run, samples):
-    """ValueError for an empty sample list, ShapeError for a sample whose
+    """ConfigError for an empty sample list, ShapeError for a sample whose
     images or mask the profile rejects."""
     if not samples:
-        raise ValueError("no training samples: n_train is 0, the data_dir "
-                         "manifest lists none, or the given sample list is empty")
+        raise ConfigError("no training samples: n_train is 0, the data_dir "
+                          "manifest lists none, or the given sample list is empty")
     for i, s in enumerate(samples):
         run.model.resolved_profile.check(
             {"image_main": s.image_main, "image_aux": s.image_aux, "gt": s.gt},

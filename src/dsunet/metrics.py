@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import read_mask
+from .tensor import DsuError
 
 EPS = 1e-8
 BETA2 = 0.3   # F-measure's beta^2, the standard SOD/COD protocol
@@ -35,7 +36,7 @@ BETA2 = 0.3   # F-measure's beta^2, the standard SOD/COD protocol
 _THRESHOLDS = (np.arange(255) + 0.5) / 255.0
 
 
-class MetricError(ValueError):
+class MetricError(DsuError, ValueError):
     pass
 
 
@@ -246,7 +247,8 @@ def compute_report(pairs):
 
 
 def evaluate_dataset(pred_dir, gt_dir):
-    """Pair .pgm files in two directories by stem and evaluate every pair."""
+    """Pair .pgm files in two directories by stem and evaluate every pair; a
+    pair the readers reject (DsuError, OSError) is a failure row."""
 
     def stems(d):
         return {os.path.splitext(f)[0]: os.path.join(d, f)
@@ -268,7 +270,7 @@ def evaluate_dataset(pred_dir, gt_dir):
                 raise MetricError(
                     f"dimension mismatch: {pred.shape} vs {gt.shape}")
             pairs.append((stem, pred, gt))
-        except Exception as exc:  # per-file error entry
+        except (DsuError, OSError) as exc:
             failures.append((stem, str(exc)))
     report = compute_report(pairs)
     report.skipped = sorted(set(preds) ^ set(gts))

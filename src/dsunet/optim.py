@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import DsuError
 
-class NonFiniteGradient(RuntimeError):
+
+class NonFiniteGradient(DsuError, RuntimeError):
     def __init__(self, name):
         super().__init__(f"non-finite gradient for parameter {name!r}")
         self.name = name

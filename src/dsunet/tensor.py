@@ -39,11 +39,15 @@ import numpy as np
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-class ShapeError(ValueError):
+class DsuError(Exception):
+    """An input the package rejects: ``dsu`` prints it as one line, exit 2."""
+
+
+class ShapeError(DsuError, ValueError):
     """Operand shapes are inconsistent with an operation's contract."""
 
 
-class ConfigError(ValueError):
+class ConfigError(DsuError, ValueError):
     """Geometry or hyperparameter configuration is invalid."""
 
 

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from dsunet.config import PROFILES
+from dsunet.tensor import ConfigError, DsuError
 from dsunet.data import (
     PgmError,
-    PgmHeaderError,
-    PgmMaxvalError,
-    PgmTruncatedError,
     Sample,
     apply_flip,
     augment_flip,
@@ -67,21 +65,24 @@ class TestPgmIO:
         p = str(tmp_path / "bad.pgm")
         with open(p, "wb") as f:
             f.write(b"P6\n2 2\n255\n" + bytes(12))
-        with pytest.raises(PgmHeaderError):
+        with pytest.raises(PgmError, match=re.escape(
+                f"{p}: malformed PGM header: missing P5 signature")):
             read_pgm(p)
 
     def test_bad_maxval(self, tmp_path):
         p = str(tmp_path / "mv.pgm")
         with open(p, "wb") as f:
             f.write(b"P5\n2 2\n65535\n" + bytes(8))
-        with pytest.raises(PgmMaxvalError):
+        with pytest.raises(PgmError, match=re.escape(
+                f"{p}: unsupported PGM maxval 65535, expected 255")):
             read_pgm(p)
 
     def test_truncated_payload(self, tmp_path):
         p = str(tmp_path / "t.pgm")
         with open(p, "wb") as f:
             f.write(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(PgmTruncatedError):
+        with pytest.raises(PgmError, match=re.escape(
+                f"{p}: truncated PGM payload: expected 16 bytes, got 7")):
             read_pgm(p)
 
     @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"-2 -3"])
@@ -89,8 +90,25 @@ class TestPgmIO:
         p = str(tmp_path / "e.pgm")
         with open(p, "wb") as f:
             f.write(b"P5\n" + extents + b"\n255\n" + bytes(6))
-        with pytest.raises(PgmHeaderError, match="image"):
+        w, h = extents.decode().split()
+        with pytest.raises(PgmError, match=re.escape(
+                f"{p}: malformed PGM header: {w} x {h} image")):
             read_pgm(p)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"", "malformed PGM header: missing P5 signature"),
+        (b"P5\n2 2", "malformed PGM header: ran out of data"),
+        (b"P5\n2 # no end", "malformed PGM header: unterminated comment"),
+        (b"P5\n2 x 255\n", "malformed PGM header: non-numeric fields"),
+    ], ids=["empty", "short-header", "open-comment", "non-numeric"])
+    def test_every_read_error_names_its_file(self, tmp_path, raw, message):
+        # a one-line error from `dsu` over a dataset directory names the file
+        p = str(tmp_path / "x.pgm")
+        with open(p, "wb") as f:
+            f.write(raw)
+        with pytest.raises(PgmError, match="^" + re.escape(f"{p}: {message}")) as exc:
+            read_pgm(p)
+        assert isinstance(exc.value, DsuError) and isinstance(exc.value, ValueError)
 
     def test_write_rejects_nan(self, tmp_path):
         p = str(tmp_path / "n.pgm")
@@ -271,7 +289,7 @@ class TestDatasetLayout:
         manifest = os.path.join(root, "manifest.txt")
         with open(manifest, "w", encoding="utf-8") as f:
             f.write(f"sod_000010 10\n\n{line}\n")  # the blank line is skipped
-        with pytest.raises(ValueError, match=re.escape(
+        with pytest.raises(ConfigError, match=re.escape(
                 f"{manifest} line 3: expected 'id seed', got {line!r}")):
             load_dataset(root, limit=1)  # lines past the limit are checked too
 

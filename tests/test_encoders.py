@@ -12,10 +12,7 @@ from dsunet.config import PROFILES, ModelConfig, RunConfig, parse_config_text, r
 from dsunet.container import (
     MAGIC_CHECKPOINT,
     MAGIC_FEATURES,
-    BadMagicError,
-    BadVersionError,
     ContainerError,
-    TruncatedError,
     read_container,
     write_container,
 )
@@ -156,14 +153,16 @@ class TestContainer:
         raw[:4] = b"NOPE"
         with open(p, "wb") as f:
             f.write(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: bad magic b'NOPE', expected b'DSUF'")):
             read_container(p)
 
     def test_checkpoint_magic_differs(self, tmp_path):
         p = str(tmp_path / "d.dsut")
         from dsunet.container import MAGIC_CHECKPOINT
         write_container(p, self._arrays(), magic=MAGIC_CHECKPOINT)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: bad magic b'DSUT', expected b'DSUF'")):
             read_container(p)  # default expects the feature magic
         assert set(read_container(p, magic=MAGIC_CHECKPOINT)) == set(self._arrays())
 
@@ -175,7 +174,8 @@ class TestContainer:
         raw[4:8] = (99).to_bytes(4, "little")
         with open(p, "wb") as f:
             f.write(bytes(raw))
-        with pytest.raises(BadVersionError):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: unsupported version 99")):
             read_container(p)
 
     def test_truncation(self, tmp_path):
@@ -185,7 +185,8 @@ class TestContainer:
             raw = f.read()
         with open(p, "wb") as f:
             f.write(raw[:-5])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: truncated payload while reading dims")):
             read_container(p)
 
     def test_rejects_non_finite(self, tmp_path):
@@ -230,21 +231,24 @@ class TestContainer:
         raw = p.read_bytes()
         for cut in range(len(raw)):
             p.write_bytes(raw[:cut])
-            with pytest.raises(TruncatedError):
+            with pytest.raises(ContainerError,
+                               match="^" + re.escape(f"{p}: truncated payload while reading ")):
                 read_container(str(p))
 
     def test_non_utf8_name_raises(self, tmp_path):
         p = tmp_path / "latin1.dsuf"
         one = np.ones(2, dtype=np.float32)
         p.write_bytes(joined_container_bytes([("ok", one), (b"n\xe4me", one)]))
-        with pytest.raises(ContainerError, match="tensor 1: name is not UTF-8"):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: tensor 1: name is not UTF-8")):
             read_container(str(p))
 
     def test_repeated_name_raises(self, tmp_path):
         p = tmp_path / "twice.dsuf"
         pairs = [("s1", np.zeros(2)), ("v", np.ones(3)), ("s1", np.ones(2))]
         p.write_bytes(joined_container_bytes(pairs))
-        with pytest.raises(ContainerError, match="tensor 2: name 's1' appears twice"):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: tensor 2: name 's1' appears twice")):
             read_container(str(p))
 
     def test_read_arrays_are_owned_and_writeable(self, tmp_path):
@@ -540,8 +544,20 @@ class TestConfigFormat:
         "lr = nan", "lr = inf", "model_seed = -3", "seed = -1"])
     def test_non_finite_or_out_of_range_value_names_its_key(self, line):
         key = line.split(" = ")[0]
-        with pytest.raises(ConfigError, match=f"^{key} must be"):
+        with pytest.raises(ConfigError, match=f"^line 1: {key} must be"):
             parse_config_text(line)
+
+    @pytest.mark.parametrize("line, message", [
+        ("lr = nan", "lr must be > 0 and finite, got nan"),
+        ("epochs = 0", "epochs must be >= 1 and finite, got 0"),
+        ("mode = xyz", "unknown data mode 'xyz'"),
+        ("profile = huge", "unknown profile 'huge'"),
+    ])
+    def test_a_value_that_fails_validation_names_its_line(self, line, message):
+        # values are checked as their line is read, not after the last line
+        text = f"n_val = 3\n\n# a comment\n{line}\nbatch = 3\n"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'line 4: {message}')}$"):
+            parse_config_text(text)
 
     # config key -> (class, field) of each integer setting
     INTEGER_SETTINGS = {

@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 import weakref
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import dsunet.nn
 from dsunet.blocks import DSUNet
 from dsunet.cli import main as cli_main
 from dsunet.config import ModelConfig, RunConfig, parse_config_file, render_config
-from dsunet.container import MAGIC_CHECKPOINT, read_container, write_container
+from dsunet.container import MAGIC_CHECKPOINT, ContainerError, read_container, write_container
 from dsunet.data import augment_flip, generate_sample, read_pgm, write_dataset
 from dsunet.harness import (
     TrainingDiverged,
@@ -172,7 +173,7 @@ class TestCheckpoint:
         tensors[name] = np.ascontiguousarray(tensors[name][:, :, 0, 0].T)
         write_container(path, tensors, magic=MAGIC_CHECKPOINT)
         with pytest.raises(ValueError, match=re.escape(
-                f"checkpoint parameter {name!r} has shape (24, 6), "
+                f"{path}: checkpoint parameter {name!r} has shape (24, 6), "
                 "model expects (6, 24, 1, 1)")):
             load_checkpoint(path)
 
@@ -184,7 +185,23 @@ class TestCheckpoint:
         name = "adapter2.up.weight"
         del tensors[name]
         write_container(path, tensors, magic=MAGIC_CHECKPOINT)
-        with pytest.raises(KeyError, match=re.escape(repr(name))):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{path}: checkpoint is missing parameter {name!r}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [None, b"profile = toy\n# caf\xe9\n"],
+                             ids=["no-config", "latin-1-config"])
+    def test_checkpoint_without_a_utf8_config_names_the_file(self, tmp_path, config):
+        run = tiny_run(str(tmp_path))
+        path = str(tmp_path / "m.dsut")
+        save_checkpoint(path, DSUNet(run.model), run)
+        tensors = read_container(path, magic=MAGIC_CHECKPOINT)
+        del tensors["__config__"]
+        if config is not None:
+            tensors["__config__"] = np.frombuffer(config, dtype=np.uint8)
+        write_container(path, tensors, magic=MAGIC_CHECKPOINT)
+        with pytest.raises(ContainerError, match="^" + re.escape(
+                f"{path}: checkpoint holds no UTF-8 '__config__' tensor") + "$"):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_owned_writeable_float32(self, tmp_path):
@@ -371,7 +388,7 @@ class TestTraining:
             data.mkdir()
             (data / "manifest.txt").write_text("")
             run = tiny_run(str(out), data_dir=str(data))
-        with pytest.raises(ValueError, match="no training samples"):
+        with pytest.raises(ConfigError, match="^no training samples"):
             if route == "empty-list":
                 fit_samples(tiny_run(str(out)), [])
             else:
@@ -715,8 +732,19 @@ class TestCLI:
         assert os.path.exists(os.path.join(data, "manifest.txt"))
         assert os.path.isdir(os.path.join(data, "gt"))
 
+    @staticmethod
+    def _one_error_line(capsys, command):
+        """The stderr of a rejected input: exactly one line in the form of
+        argparse's usage errors, and no traceback."""
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"dsu {command}: error: ")
+        assert "Traceback" not in lines[0]
+        return lines[0]
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
-    def test_out_dir_override_is_validated(self, command, tmp_path, monkeypatch):
+    def test_out_dir_override_is_validated(self, command, tmp_path, monkeypatch,
+                                           capsys):
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
@@ -726,24 +754,127 @@ class TestCLI:
         argv = (["train", "--config", cfg, "--out", str(out)] if command == "train" else
                 ["ablate", "--config", cfg, "--out", str(tmp_path / "t.txt"),
                  "--out-dir", str(out)])
-        with pytest.raises(ConfigError, match="^out_dir "):
-            cli_main(argv)
+        assert cli_main(argv) == 2
+        line = self._one_error_line(capsys, command)
+        assert line.startswith(f"dsu {command}: error: out_dir {str(out)!r} cannot be "
+                               f"written to a config line")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-2"),
                                              ("--seed", "-1"), ("--n", "two")])
     def test_gen_data_rejects_bad_numbers_at_the_parser(self, flag, value,
                                                         tmp_path, capsys):
+        # a non-integer is argparse's own usage error; an integer out of range
+        # is rejected before anything is generated, in the same form and code
         data = tmp_path / "d"
-        with pytest.raises(SystemExit) as exc:  # a repeated flag takes its last value
-            cli_main(["gen-data", "--out", str(data), "--n", "2", flag, value])
-        assert exc.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
+        argv = ["gen-data", "--out", str(data), "--n", "2", flag, value]
+        if value == "two":
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == f"dsu gen-data: error: argument {flag}: invalid int value: 'two'"
+        else:
+            assert cli_main(argv) == 2
+            low = 1 if flag == "--n" else 0
+            assert self._one_error_line(capsys, "gen-data") == (
+                f"dsu gen-data: error: {flag} must be >= {low} and finite, got {value}")
         assert not data.exists()
 
-    def test_unknown_config_key_fails_cleanly(self, tmp_path):
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.txt")
         with open(bad, "w") as f:
             f.write("momentum = 0.9\n")
-        with pytest.raises(ConfigError):
-            cli_main(["train", "--config", bad])
+        assert cli_main(["train", "--config", bad]) == 2
+        assert self._one_error_line(capsys, "train") == (
+            "dsu train: error: line 1: unknown key 'momentum'")
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A toy dataset, one with a bad manifest line, a large-profile one
+        and a toy checkpoint."""
+        root = tmp_path_factory.mktemp("inputs")
+        for name, profile in (("toy", "toy"), ("large", "large")):
+            samples, seeds = dsunet.data.generate_dataset(1, "sod", profile, 0)
+            write_dataset(str(root / name), samples, seeds)
+        shutil.copytree(root / "toy", root / "bad")
+        (root / "bad" / "manifest.txt").write_text("sod_000000 0\nsod_000001\n")
+        run = tiny_run(str(root / "unused"))
+        save_checkpoint(str(root / "toy.dsut"), DSUNet(run.model), run)
+        return root
+
+    # (name, command, argv, config file text or None, a part of the one line)
+    REJECTED = [
+        ("lr-nan", "train", ["--config", "{cfg}"], "lr = nan\n",
+         "line 1: lr must be > 0 and finite, got nan"),
+        ("unknown-key", "train", ["--config", "{cfg}"], "n_val = 0\nmomentum = 0.9\n",
+         "line 2: unknown key 'momentum'"),
+        ("out-hash", "train", ["--config", "{cfg}", "--out", "{tmp}/run#2"],
+         "out_dir = {tmp}/out\n", "out_dir '{tmp}/run#2' cannot be written"),
+        ("n_train-0", "train", ["--config", "{cfg}"],
+         "n_train = 0\nout_dir = {tmp}/out\n", "no training samples: n_train is 0"),
+        ("manifest-line", "train", ["--config", "{cfg}"],
+         "n_train = 1\nn_val = 0\ndata_dir = {inputs}/bad\nout_dir = {tmp}/out\n",
+         "{inputs}/bad/manifest.txt line 2: expected 'id seed', got 'sod_000001'"),
+        ("large-images", "predict",
+         ["--ckpt", "{inputs}/toy.dsut", "--images", "{inputs}/large", "--out", "{tmp}/p"],
+         None, "image_main shape (3, 352, 352): 'image_main' of profile 'toy' is "
+               "(3, 96, 96)"),
+        ("large-dataset", "train", ["--config", "{cfg}"],
+         "n_train = 1\nn_val = 0\ndata_dir = {inputs}/large\nout_dir = {tmp}/out\n",
+         "sample 0 (sod_000000): image_main shape (3, 352, 352): 'image_main' of "
+         "profile 'toy' is (3, 96, 96)"),
+        ("missing-ckpt", "predict",
+         ["--ckpt", "{tmp}/none.dsut", "--images", "{inputs}/toy", "--out", "{tmp}/p"],
+         None, "No such file or directory: '{tmp}/none.dsut'"),
+        ("pgm-ckpt", "predict",
+         ["--ckpt", "{inputs}/toy/gt/sod_000000.pgm", "--images", "{inputs}/toy",
+          "--out", "{tmp}/p"],
+         None, "{inputs}/toy/gt/sod_000000.pgm: bad magic b'P5\\n9', expected b'DSUT'"),
+        ("no-common-stems", "eval",
+         ["--pred", "{inputs}/toy/images-main", "--gt", "{inputs}/toy/gt",
+          "--report", "{tmp}/r.csv"],
+         None, "no common stems between '{inputs}/toy/images-main' and "
+               "'{inputs}/toy/gt'"),
+        ("gen-data-n-0", "gen-data", ["--out", "{tmp}/out", "--n", "0"], None,
+         "--n must be >= 1 and finite, got 0"),
+    ]
+
+    @pytest.mark.parametrize("name, command, argv, config, part", REJECTED,
+                             ids=[r[0] for r in REJECTED])
+    def test_rejected_input_is_one_line_and_exit_2(
+            self, name, command, argv, config, part, inputs, tmp_path, capsys):
+        def fill(text):
+            return text.format(tmp=tmp_path, inputs=inputs, cfg=tmp_path / "c.cfg")
+
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(fill(config))
+        assert cli_main([command] + [fill(a) for a in argv]) == 2
+        line = self._one_error_line(capsys, command)
+        assert fill(part) in line
+        # none of these leaves an output directory behind
+        assert not (tmp_path / "out").exists() and not (tmp_path / "run#2").exists()
+
+    def test_other_exceptions_keep_their_traceback(self, tmp_path, monkeypatch):
+        # a fault in the code is not a rejected input: it propagates
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(dsunet.harness, "train", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            cli_main(["train", "--config", self._config(tmp_path)])
+
+    def test_eval_with_a_failed_file_exits_1(self, tmp_path, capsys):
+        # exit 1: the command ran, and a check it made failed
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        gt.mkdir()
+        pred.mkdir()
+        for stem in ("a", "b"):
+            dsunet.data.write_pgm(str(gt / f"{stem}.pgm"), np.eye(4))
+            dsunet.data.write_pgm(str(pred / f"{stem}.pgm"), np.eye(4))
+        (pred / "b.pgm").write_bytes((pred / "b.pgm").read_bytes()[:-1])
+        assert cli_main(["eval", "--pred", str(pred), "--gt", str(gt),
+                         "--report", str(tmp_path / "r.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"FAILED b: {pred / 'b.pgm'}: truncated PGM payload" in captured.out

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dsunet.metrics
 from dsunet.data import write_pgm
 from dsunet.metrics import (
     _THRESHOLDS,
@@ -555,3 +556,40 @@ class TestEvaluateDataset:
         assert not rep.ok()
         assert rep.n_images == 1
         assert rep.failures[0][0] == "bad"
+
+    def test_truncated_pgm_is_a_failed_row_naming_the_file(self, tmp_path):
+        pd = tmp_path / "pred"
+        gd = tmp_path / "gt"
+        pd.mkdir()
+        gd.mkdir()
+        pred, gt = random_pair(1)
+        for stem in ("good", "cut"):
+            self._write(pd, f"{stem}.pgm", pred)
+            self._write(gd, f"{stem}.pgm", gt)
+        cut = pd / "cut.pgm"
+        cut.write_bytes(cut.read_bytes()[:-3])
+        rep = evaluate_dataset(str(pd), str(gd))
+        assert rep.n_images == 1 and [stem for stem, _ in rep.rows] == ["good"]
+        assert rep.failures == [("cut", f"{cut}: truncated PGM payload: expected "
+                                        f"{gt.size} bytes, got {gt.size - 3}")]
+        assert f"FAILED cut: {cut}: truncated PGM payload" in report_table(rep)
+
+    @pytest.mark.parametrize("where", ["scorer", "reader"])
+    def test_a_bug_propagates(self, tmp_path, monkeypatch, where):
+        # only input failures become FAILED rows; a fault in the code is not one
+        def broken(*args, **kwargs):
+            raise TypeError(f"{where} bug")
+
+        if where == "scorer":
+            monkeypatch.setitem(dsunet.metrics._SCORERS, "MAE", broken)
+        else:
+            monkeypatch.setattr(dsunet.metrics, "read_mask", broken)
+        pd = tmp_path / "pred"
+        gd = tmp_path / "gt"
+        pd.mkdir()
+        gd.mkdir()
+        pred, gt = random_pair(1)
+        self._write(pd, "a.pgm", pred)
+        self._write(gd, "a.pgm", gt)
+        with pytest.raises(TypeError, match=f"{where} bug"):
+            evaluate_dataset(str(pd), str(gd))
