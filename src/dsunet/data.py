@@ -252,8 +252,11 @@ def load_dataset(root, limit=None):
     the first ``limit`` manifest entries, or all of them when it is None."""
     manifest = os.path.join(root, "manifest.txt")
     with open(manifest, "r", encoding="utf-8") as f:
-        entries = [(lineno, line.split()) for lineno, line in enumerate(f, start=1)
-                   if line.strip()]
+        try:
+            entries = [(lineno, line.split()) for lineno, line in enumerate(f, start=1)
+                       if line.strip()]
+        except UnicodeDecodeError:
+            raise ConfigError(f"{manifest}: not UTF-8 text") from None
     for lineno, fields in entries:
         if len(fields) != 2:
             raise ConfigError(f"{manifest} line {lineno}: expected 'id seed', "

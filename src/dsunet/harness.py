@@ -58,7 +58,10 @@ def load_checkpoint(path):
         config_text = bytes(tensors["__config__"].astype(np.uint8)).decode("utf-8")
     except (KeyError, UnicodeDecodeError):
         raise ContainerError(f"{path}: checkpoint holds no UTF-8 '__config__' tensor") from None
-    run = parse_config_text(config_text)
+    try:
+        run = parse_config_text(config_text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     model = DSUNet(run.model, init=placeholder_init)
     for name, p in model.named_parameters().items():
         if name not in tensors:
@@ -260,12 +263,13 @@ def predict(ckpt_path, images_dir, out_dir):
     aux_dir = os.path.join(images_dir, "images-aux")
     ids = sorted(f[: -len(".r.pgm")] for f in os.listdir(main_dir)
                  if f.endswith(".r.pgm"))
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     for sample_id in ids:
         main = read_image_planes(main_dir, sample_id)
         aux = read_image_planes(aux_dir, sample_id)
         pred = _probability_map(model, main, aux)
+        # made once a map exists, so a rejected input leaves no directory
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{sample_id}.pgm")
         write_mask(path, pred)
         written.append(path)

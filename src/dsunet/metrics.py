@@ -4,17 +4,20 @@ Predictions are continuous maps in [0, 1]; ground truths are binary.
 All arithmetic is float64 with epsilon 1e-8 in denominators.
 
 F and E score the binary maps ``pred >= t``, at one adaptive threshold or
-averaged over the 255 uniform ones ``(k + 0.5) / 255``.  Neither rescans the
-map per threshold: one pass bins every pixel by the number of thresholds it
-reaches, per ground-truth class, and cumulative sums of those two histograms
-give the TP and FP counts at every threshold, as PySODMetrics does
-(https://github.com/lartpang/PySODMetrics).  On the uniform grid a pixel's
-bin is arithmetic: ``floor(255 p + 0.5)`` is never more than one off, and one
-comparison each way against the thresholds themselves makes it exact, so a
-pixel on a threshold reaches it, as ``pred >= t`` has it.  F follows from the
-counts directly.  On a binary map the enhanced-alignment term of E (Fan et
-al., arXiv:1805.10421) takes one value per (prediction, truth) pixel class, so
-E is the count-weighted mean of four values.
+averaged over the 255 uniform ones ``(k + 0.5) / 255``.  At the adaptive
+threshold two ``count_nonzero`` calls give TP and the pixels reached, hence
+FP.  On the grid neither rescans the map per threshold: one pass bins every
+pixel by the number of thresholds it reaches, and cumulative sums of two
+histograms, of all bins and of the foreground's, give the TP and FP counts at
+every threshold, as PySODMetrics does
+(https://github.com/lartpang/PySODMetrics).
+A pixel's bin is arithmetic: ``floor(255 p + 0.5)`` is never more than one
+off, and one comparison each way against the thresholds themselves makes it
+exact, so a pixel on a threshold reaches it, as ``pred >= t`` has it; each
+correction touches only the pixels it moves.  F follows from the counts
+directly.  On a binary map the enhanced-alignment term of E (Fan et al.,
+arXiv:1805.10421) takes one value per (prediction, truth) pixel class, so E is
+the count-weighted mean of four values.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ def mae(pred, gt):
     return float(np.abs(pred - gt).mean())
 
 
-def _adaptive_bins(pred):
-    """Bin 1 if a pixel reaches the threshold min(2 mean, 1), else bin 0."""
-    return pred >= min(2.0 * float(pred.mean()), 1.0)
+# Threshold k is bin k's upper edge and bin k+1's lower one; bin 0 is open
+# below and bin 255 above.
+_UPPER = np.append(_THRESHOLDS, np.inf)
+_LOWER = np.append(-np.inf, _THRESHOLDS)
 
 
 def _grid_bins(pred):
@@ -67,35 +71,41 @@ def _grid_bins(pred):
 
     Clamping sends NaN to -1 (a NaN reaches no threshold) and keeps 255 p
     finite.  The rounded guess is off by at most one, near a threshold, and
-    the two corrections compare against ``(k +- 0.5) / 255``, the very floats
-    of `_THRESHOLDS`, so the bins are exact.
+    the two corrections compare against the very floats of `_THRESHOLDS`, so
+    the bins are exact; each touches only the pixels it moves.
     """
     c = np.fmin(np.fmax(pred, -1.0), 2.0)
-    k = np.floor(c * 255.0 + 0.5)
-    k += c >= (k + 0.5) / 255.0
-    k -= c < (k - 0.5) / 255.0
-    return np.clip(k, 0.0, 255.0).astype(np.intp)
+    k = np.clip(np.floor(c * 255.0 + 0.5), 0.0, 255.0).astype(np.intp)
+    k[c >= _UPPER[k]] += 1
+    k[c < _LOWER[k]] -= 1
+    return k
 
 
-# policy -> (bin function, number of thresholds)
-_BINNINGS = {"adaptive": (_adaptive_bins, 1),
-             "mean_thresholds": (_grid_bins, len(_THRESHOLDS))}
+def _adaptive_counts(pred, gt_fg):
+    """TP and FP at the one threshold min(2 mean, 1)."""
+    reached = pred >= min(2.0 * float(pred.mean()), 1.0)
+    tp = np.count_nonzero(reached & gt_fg)
+    return np.array([[tp], [np.count_nonzero(reached) - tp]], dtype=np.float64)
+
+
+def _grid_counts(pred, gt_fg):
+    """TP and FP at each of the 255 thresholds: the pixels that reach
+    threshold k are those in bins k+1 and up."""
+    k = _grid_bins(pred)
+    hist = np.stack((np.bincount(k[gt_fg], minlength=256),
+                     np.bincount(k, minlength=256)))
+    reached = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1].astype(np.float64)
+    return reached[0], reached[1] - reached[0]
+
+
+_COUNTS = {"adaptive": _adaptive_counts, "mean_thresholds": _grid_counts}
 
 
 def _confusion_counts(pred, gt_fg, policy):
-    """TP and FP of the binary map `pred >= t` at each of a policy's thresholds.
-
-    One pass over the map: each pixel goes to the bin of the number of
-    thresholds it reaches, one histogram per ground-truth class, and the
-    pixels that reach threshold k are those in bins k+1 and up.
-    """
-    if policy not in _BINNINGS:
+    """TP and FP of the binary map `pred >= t` at each of a policy's thresholds."""
+    if policy not in _COUNTS:
         raise MetricError(f"unknown policy {policy!r}")
-    binning, n = _BINNINGS[policy]
-    hist = np.bincount(binning(pred.ravel()) + (n + 1) * gt_fg.ravel(),
-                       minlength=2 * (n + 1)).reshape(2, n + 1)
-    reached = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1].astype(np.float64)
-    return reached[1], reached[0]
+    return _COUNTS[policy](pred.ravel(), gt_fg.ravel())
 
 
 def f_measure(pred, gt, policy="adaptive"):
@@ -153,9 +163,11 @@ def _object_score(values):
 def _region_q(x, y):
     """Structural similarity of one quadrant; 1 when degenerate on both sides."""
     xm, ym = x.mean(), y.mean()
-    sx = ((x - xm) ** 2).mean()
-    sy = ((y - ym) ** 2).mean()
-    sxy = ((x - xm) * (y - ym)).mean()
+    dx = x - xm
+    dy = y - ym
+    sx = (dx * dx).mean()
+    sy = (dy * dy).mean()
+    sxy = (dx * dy).mean()
     num = 4.0 * xm * ym * sxy
     den = (xm * xm + ym * ym) * (sx + sy)
     if num == 0.0 and den == 0.0:
@@ -168,14 +180,14 @@ def s_measure(pred, gt):
     if not np.isfinite(pred).all():
         raise MetricError("S-measure needs a finite prediction map; "
                           "it holds NaN or inf")
-    gt_bin = (gt >= 0.5).astype(np.float64)
+    fg = gt >= 0.5
+    gt_bin = fg.astype(np.float64)
     mu = gt_bin.mean()
     if mu == 0.0:
         return max(0.0, 1.0 - float(pred.mean()))
     if mu == 1.0:
         return max(0.0, float(pred.mean()))
 
-    fg = gt_bin == 1.0
     s_object = mu * _object_score(pred[fg]) + (1.0 - mu) * _object_score(
         1.0 - pred[~fg])
 

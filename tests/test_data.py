@@ -293,6 +293,17 @@ class TestDatasetLayout:
                 f"{manifest} line 3: expected 'id seed', got {line!r}")):
             load_dataset(root, limit=1)  # lines past the limit are checked too
 
+    def test_manifest_that_is_not_utf8_names_the_file(self, tmp_path):
+        samples, seeds = generate_dataset(1, "sod", "toy", seed_base=10)
+        root = str(tmp_path / "ds")
+        write_dataset(root, samples, seeds)
+        manifest = os.path.join(root, "manifest.txt")
+        with open(manifest, "wb") as f:
+            f.write(b"sod_000010 10\ncaf\xe9 11\n")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{manifest}: not UTF-8 text") + "$"):
+            load_dataset(root)
+
     def test_generate_dataset_seeds_are_sequential(self):
         samples, seeds = generate_dataset(4, "sod", "toy", seed_base=100)
         assert seeds == [100, 101, 102, 103]

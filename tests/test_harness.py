@@ -204,6 +204,17 @@ class TestCheckpoint:
                 f"{path}: checkpoint holds no UTF-8 '__config__' tensor") + "$"):
             load_checkpoint(path)
 
+    def test_invalid_embedded_config_names_the_file(self, tmp_path):
+        run = tiny_run(str(tmp_path))
+        path = str(tmp_path / "m.dsut")
+        save_checkpoint(path, DSUNet(run.model), run)
+        tensors = read_container(path, magic=MAGIC_CHECKPOINT)
+        tensors["__config__"] = np.frombuffer(b"lr = nan\n", dtype=np.uint8)
+        write_container(path, tensors, magic=MAGIC_CHECKPOINT)
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: line 1: lr must be > 0 and finite, got nan") + "$"):
+            load_checkpoint(path)
+
     def test_loaded_parameters_are_owned_writeable_float32(self, tmp_path):
         run = tiny_run(str(tmp_path))
         path = str(tmp_path / "m.dsut")
@@ -791,16 +802,22 @@ class TestCLI:
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        """A toy dataset, one with a bad manifest line, a large-profile one
-        and a toy checkpoint."""
+        """A toy dataset, one with a bad manifest line, one with a manifest
+        that is not UTF-8, a large-profile one, a toy checkpoint and one whose
+        config sets lr = nan."""
         root = tmp_path_factory.mktemp("inputs")
         for name, profile in (("toy", "toy"), ("large", "large")):
             samples, seeds = dsunet.data.generate_dataset(1, "sod", profile, 0)
             write_dataset(str(root / name), samples, seeds)
         shutil.copytree(root / "toy", root / "bad")
         (root / "bad" / "manifest.txt").write_text("sod_000000 0\nsod_000001\n")
+        shutil.copytree(root / "toy", root / "latin")
+        (root / "latin" / "manifest.txt").write_bytes(b"sod_000000 0\ncaf\xe9 1\n")
         run = tiny_run(str(root / "unused"))
         save_checkpoint(str(root / "toy.dsut"), DSUNet(run.model), run)
+        tensors = read_container(str(root / "toy.dsut"), magic=MAGIC_CHECKPOINT)
+        tensors["__config__"] = np.frombuffer(b"lr = nan\n", dtype=np.uint8)
+        write_container(str(root / "nan.dsut"), tensors, magic=MAGIC_CHECKPOINT)
         return root
 
     # (name, command, argv, config file text or None, a part of the one line)
@@ -816,8 +833,11 @@ class TestCLI:
         ("manifest-line", "train", ["--config", "{cfg}"],
          "n_train = 1\nn_val = 0\ndata_dir = {inputs}/bad\nout_dir = {tmp}/out\n",
          "{inputs}/bad/manifest.txt line 2: expected 'id seed', got 'sod_000001'"),
+        ("manifest-not-utf8", "train", ["--config", "{cfg}"],
+         "n_train = 1\nn_val = 0\ndata_dir = {inputs}/latin\nout_dir = {tmp}/out\n",
+         "{inputs}/latin/manifest.txt: not UTF-8 text"),
         ("large-images", "predict",
-         ["--ckpt", "{inputs}/toy.dsut", "--images", "{inputs}/large", "--out", "{tmp}/p"],
+         ["--ckpt", "{inputs}/toy.dsut", "--images", "{inputs}/large", "--out", "{tmp}/out"],
          None, "image_main shape (3, 352, 352): 'image_main' of profile 'toy' is "
                "(3, 96, 96)"),
         ("large-dataset", "train", ["--config", "{cfg}"],
@@ -827,6 +847,9 @@ class TestCLI:
         ("missing-ckpt", "predict",
          ["--ckpt", "{tmp}/none.dsut", "--images", "{inputs}/toy", "--out", "{tmp}/p"],
          None, "No such file or directory: '{tmp}/none.dsut'"),
+        ("ckpt-config-nan", "predict",
+         ["--ckpt", "{inputs}/nan.dsut", "--images", "{inputs}/toy", "--out", "{tmp}/out"],
+         None, "{inputs}/nan.dsut: line 1: lr must be > 0 and finite, got nan"),
         ("pgm-ckpt", "predict",
          ["--ckpt", "{inputs}/toy/gt/sod_000000.pgm", "--images", "{inputs}/toy",
           "--out", "{tmp}/p"],

@@ -389,15 +389,59 @@ def test_verify_catches_a_bin_guess_without_its_downward_correction(
 
     def uncorrected_bins(pred):
         c = np.fmin(np.fmax(pred, -1.0), 2.0)
-        k = np.floor(c * 255.0 + 0.5)
-        k += c >= (k + 0.5) / 255.0
-        return np.clip(k, 0.0, 255.0).astype(np.intp)
+        k = np.clip(np.floor(c * 255.0 + 0.5), 0.0, 255.0).astype(np.intp)
+        k[c >= metrics._UPPER[k]] += 1
+        return k
 
-    monkeypatch.setitem(metrics._BINNINGS, "mean_thresholds",
-                        (uncorrected_bins, len(_THRESHOLDS)))
+    monkeypatch.setattr(metrics, "_grid_bins", uncorrected_bins)
     failed = {name for name, ok, _ in check_metric_oracles(seeds=range(3))
               if not ok}
     assert failed == {"metric:fmean_oracle", "metric:emean_oracle"}
+
+
+class TestScoresArePinned:
+    """Every score to the last bit, as recorded before the counting moved to
+    count_nonzero and sparse bin corrections.  The maps come from integer
+    arithmetic and one correctly rounded division or table lookup, so they
+    are the same on every numpy."""
+
+    i, j = np.mgrid[0:24, 0:20]
+    gt = (((i - 11) ** 2 + (j - 9) ** 2 < 49)
+          | ((i * 7 + j * 3) % 23 == 0)).astype(np.float64)
+    g = gt.astype(np.intp)
+    MAPS = {
+        "continuous": 0.5 * gt + ((i * 7919 + j * 104729) % 10007) / 20014.0,
+        "quantised": ((i * 13 + j * 29 + 97 * g) % 256) / 255.0,
+        "on_threshold": _THRESHOLDS[(i * 11 + j * 5) % 128 + 127 * g],
+    }
+    ROWS = {
+        "continuous": {"S": "0x1.9a2876aa14815p-1", "Fadp": "0x1.636adfb0774d1p-1",
+                       "Fmean": "0x1.5729a34fd335ap-1", "Eadp": "0x1.235a92d24f7d5p-1",
+                       "Emean": "0x1.3c18820fd1da1p-1", "MAE": "0x1.01157cbc905bbp-2"},
+        "on_threshold": {"S": "0x1.9e37dfb47fc08p-1", "Fadp": "0x1.747de2e08747fp-1",
+                         "Fmean": "0x1.5adf93fd0e1b5p-1", "Eadp": "0x1.361d0045b3c7cp-1",
+                         "Emean": "0x1.420e5a6cda2c7p-1", "MAE": "0x1.f1e960d84fc73p-3"},
+        "quantised": {"S": "0x1.4d37889b7503ap-2", "Fadp": "0x1.91df279b88362p-5",
+                      "Fmean": "0x1.4a0724a31296bp-2", "Eadp": "0x1.1221ac2a67db5p-2",
+                      "Emean": "0x1.9483b83eca0b3p-2", "MAE": "0x1.fe0ad7a4713e0p-2"},
+    }
+
+    def test_report_rows(self):
+        rep = compute_report([(stem, pred, self.gt) for stem, pred in self.MAPS.items()])
+        got = {stem: {c: v.hex() for c, v in row.items()} for stem, row in rep.rows}
+        assert got == self.ROWS
+
+    def test_f_and_e_with_nan_and_infinities(self):
+        # the NaN makes the adaptive threshold NaN, which no pixel reaches
+        pred = self.MAPS["continuous"].copy()
+        pred[0, 0], pred[1, 1], pred[2, 2] = np.nan, np.inf, -np.inf
+        got = {(fn.__name__, policy): fn(pred, self.gt, policy=policy).hex()
+               for fn in (f_measure, e_measure)
+               for policy in ("adaptive", "mean_thresholds")}
+        assert got == {("f_measure", "adaptive"): "0x0.0p+0",
+                       ("f_measure", "mean_thresholds"): "0x1.54ef1bffeca59p-1",
+                       ("e_measure", "adaptive"): "0x1.0000000000000p-2",
+                       ("e_measure", "mean_thresholds"): "0x1.3be9915d09ff3p-1"}
 
 
 class TestSMeasure:
