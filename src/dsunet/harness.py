@@ -295,22 +295,24 @@ def format_parameter_report(model):
 def ablate(base_run: RunConfig):
     """Train and evaluate every fusion variant on a shared dataset and seed.
 
-    The dataset is loaded or generated once for the whole sweep.  Returns
-    rows of (variant, means dict); the proposed configuration ("full") is
-    produced last.
+    The dataset is loaded or generated once for the whole sweep, and checked
+    before any variant trains: training samples as for :func:`train`, then
+    that there is a validation sample to score.  Returns rows of (variant,
+    means dict); the proposed configuration ("full") is produced last.
     """
     train_samples, val_samples = load_or_generate(base_run)
+    _check_samples(base_run, train_samples)
+    if not val_samples:
+        raise ConfigError("no validation samples: n_val is 0, or the data_dir "
+                          "manifest lists none after the first n_train")
     rows = []
     for variant in VARIANTS:
         run = replace(base_run,
                       model=replace(base_run.model, variant=variant),
                       out_dir=os.path.join(base_run.out_dir, f"variant_{variant}"))
         model, _, _, _ = _train_run(run, train_samples)
-        pairs = []
-        for sample in val_samples:
-            pred = predict_sample(model, sample)
-            pairs.append((sample.id, pred, sample.gt.astype(np.float64)))
-        report = compute_report(pairs)
+        report = compute_report((s.id, predict_sample(model, s), s.gt.astype(np.float64))
+                                for s in val_samples)
         rows.append((variant, report.means))
     return rows
 

@@ -26,6 +26,8 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -235,32 +237,31 @@ class MetricReport:
 
 
 def compute_report(pairs):
-    """Aggregate metrics over (stem, pred, gt) triples, sorted by stem."""
-    report = MetricReport()
-    sums = {c: 0.0 for c in _COLUMNS}
-    counts = {c: 0 for c in _COLUMNS}
-    for stem, pred, gt in sorted(pairs, key=lambda t: t[0]):
+    """Score (stem, pred, gt) triples in one pass over `pairs`, keeping only
+    each pair's row; the rows are then sorted by stem, stably, and the means
+    and the stems with an undefined score are read off them."""
+    rows = []
+    for stem, pred, gt in pairs:
         row = {}
         for col, score in _SCORERS.items():
             try:
                 row[col] = score(pred, gt)
             except UndefinedMetric:
                 row[col] = None
-                if stem not in report.undefined:
-                    report.undefined.append(stem)
-                continue
-            sums[col] += row[col]
-            counts[col] += 1
-        report.rows.append((stem, row))
-    report.n_images = len(report.rows)
-    report.means = {c: (sums[c] / counts[c] if counts[c] else float("nan"))
-                    for c in _COLUMNS}
+        rows.append((stem, row))
+    rows.sort(key=lambda r: r[0])
+    report = MetricReport(rows=rows, n_images=len(rows), undefined=list(dict.fromkeys(
+        stem for stem, row in rows if None in row.values())))
+    for c in _COLUMNS:
+        # a left fold in row order: sum() compensates its rounding from Python 3.12
+        values = [row[c] for _, row in rows if row[c] is not None]
+        report.means[c] = reduce(add, values, 0.0) / len(values) if values else float("nan")
     return report
 
 
 def evaluate_dataset(pred_dir, gt_dir):
-    """Pair .pgm files in two directories by stem and evaluate every pair; a
-    pair the readers reject (DsuError, OSError) is a failure row."""
+    """Pair .pgm files in two directories by stem and score them one pair at a
+    time; a pair the readers reject (DsuError, OSError) is a failure row."""
 
     def stems(d):
         return {os.path.splitext(f)[0]: os.path.join(d, f)
@@ -270,21 +271,22 @@ def evaluate_dataset(pred_dir, gt_dir):
     gts = stems(gt_dir)
     common = sorted(set(preds) & set(gts))
     if not common:
-        raise MetricError(
-            f"no common stems between {pred_dir!r} and {gt_dir!r}")
-    pairs = []
+        raise MetricError(f"no common stems between {pred_dir!r} and {gt_dir!r}")
     failures = []
-    for stem in common:
-        try:
-            pred = read_mask(preds[stem])
-            gt = read_mask(gts[stem], binarize=True)
-            if pred.shape != gt.shape:
-                raise MetricError(
-                    f"dimension mismatch: {pred.shape} vs {gt.shape}")
-            pairs.append((stem, pred, gt))
-        except (DsuError, OSError) as exc:
-            failures.append((stem, str(exc)))
-    report = compute_report(pairs)
+
+    def read_pairs():
+        for stem in common:
+            try:
+                pred = read_mask(preds[stem])
+                gt = read_mask(gts[stem], binarize=True)
+                if pred.shape != gt.shape:
+                    raise MetricError(f"dimension mismatch: {pred.shape} vs {gt.shape}")
+            except (DsuError, OSError) as exc:
+                failures.append((stem, str(exc)))
+            else:
+                yield stem, pred, gt
+
+    report = compute_report(read_pairs())
     report.skipped = sorted(set(preds) ^ set(gts))
     report.failures = failures
     return report

@@ -621,6 +621,26 @@ class TestAblation:
             assert (out / "model.dsut").exists()
             assert (out / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("route", ["n_val-0", "manifest-of-n_train"])
+    def test_no_validation_sample_raises_before_training(self, route, tmp_path,
+                                                         monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a variant trained")
+
+        monkeypatch.setattr(dsunet.harness, "_train_run", no_run)
+        out = tmp_path / "sweep"
+        if route == "n_val-0":
+            run = tiny_run(str(out), n_train=2, n_val=0)
+        else:
+            data = str(tmp_path / "data")
+            assert cli_main(["gen-data", "--out", data, "--n", "2"]) == 0
+            run = tiny_run(str(out), data_dir=data, n_train=2, n_val=2)
+        with pytest.raises(ConfigError, match=re.escape(
+                "no validation samples: n_val is 0, or the data_dir manifest "
+                "lists none after the first n_train")):
+            ablate(run)
+        assert not out.exists()
+
 
 class TestPredictExport:
     def test_exported_bytes_match_sigmoid_rule(self, tmp_path):

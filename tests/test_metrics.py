@@ -1,3 +1,6 @@
+import os
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -426,10 +429,25 @@ class TestScoresArePinned:
                       "Emean": "0x1.9483b83eca0b3p-2", "MAE": "0x1.fe0ad7a4713e0p-2"},
     }
 
+    EMPTY_ROW = {"S": "0x1.2a88ca0603748p-1", "Fadp": None, "Fmean": None,
+                 "Eadp": "0x1.c555555555555p-1", "Emean": "0x1.2a8b9cadbecfep-1",
+                 "MAE": "0x1.aaee6bf3f916fp-2"}
+    MEANS = {"S": "0x1.4261392c948e0p-1", "Fadp": "0x1.f60478b1cf659p-2",
+             "Fmean": "0x1.1d044334ce342p-1", "Eadp": "0x1.29f76fa0a3221p-1",
+             "Emean": "0x1.1cbd155273f70p-1", "MAE": "0x1.68c0dc3048a51p-2"}
+
     def test_report_rows(self):
-        rep = compute_report([(stem, pred, self.gt) for stem, pred in self.MAPS.items()])
-        got = {stem: {c: v.hex() for c, v in row.items()} for stem, row in rep.rows}
-        assert got == self.ROWS
+        # with one empty-foreground truth, whose F is undefined and left out
+        # of the F means
+        pairs = [(stem, pred, self.gt) for stem, pred in self.MAPS.items()]
+        pairs.append(("empty", self.MAPS["continuous"], np.zeros_like(self.gt)))
+        rep = compute_report(pairs)
+        assert [stem for stem, _ in rep.rows] == sorted([*self.MAPS, "empty"])
+        got = {stem: {c: None if v is None else v.hex() for c, v in row.items()}
+               for stem, row in rep.rows}
+        assert got == {**self.ROWS, "empty": self.EMPTY_ROW}
+        assert {c: v.hex() for c, v in rep.means.items()} == self.MEANS
+        assert rep.undefined == ["empty"] and rep.n_images == 4
 
     def test_f_and_e_with_nan_and_infinities(self):
         # the NaN makes the adaptive threshold NaN, which no pixel reaches
@@ -530,6 +548,23 @@ class TestReports:
         assert len(lines) == 4  # header + 2 rows + mean
         assert lines[-1].startswith("mean,")
 
+    def test_pairs_are_scored_as_they_come(self):
+        # no pair outlives its row: when the source makes pair i, the arrays
+        # of pair i - 2 are gone
+        refs, gone = [], []
+
+        def source():
+            for i in range(6):
+                if i >= 2:
+                    gone.append([r() is None for r in refs[i - 2]])
+                pred, gt = random_pair(i)
+                refs.append((weakref.ref(pred), weakref.ref(gt)))
+                yield f"img_{i:03d}", pred, gt
+
+        rep = compute_report(source())
+        assert rep.n_images == 6
+        assert gone == [[True, True]] * 4
+
     def test_table_renders(self):
         rep = compute_report(self._pairs(2))
         text = report_table(rep)
@@ -560,6 +595,36 @@ class TestReports:
 class TestEvaluateDataset:
     def _write(self, d, name, arr):
         write_pgm(str(d / name), arr)
+
+    def test_reads_a_pair_only_after_scoring_the_one_before(self, tmp_path,
+                                                             monkeypatch):
+        log = []
+        real_read = dsunet.metrics.read_mask
+
+        def reading(path, *args, **kwargs):
+            log.append(("read", os.path.relpath(path, tmp_path)))
+            return real_read(path, *args, **kwargs)
+
+        monkeypatch.setattr(dsunet.metrics, "read_mask", reading)
+        for name in ("s_measure", "f_measure", "e_measure", "mae"):
+            def scoring(*args, _name=name, _fn=getattr(dsunet.metrics, name),
+                        **kwargs):
+                log.append((_name, kwargs.get("policy")))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dsunet.metrics, name, scoring)
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "gt").mkdir()
+        for i, stem in enumerate("cab"):
+            pred, gt = random_pair(i)
+            self._write(tmp_path / "pred", f"{stem}.pgm", pred)
+            self._write(tmp_path / "gt", f"{stem}.pgm", gt)
+        evaluate_dataset(str(tmp_path / "pred"), str(tmp_path / "gt"))
+        scored = [("s_measure", None), ("f_measure", "adaptive"),
+                  ("f_measure", "mean_thresholds"), ("e_measure", "adaptive"),
+                  ("e_measure", "mean_thresholds"), ("mae", None)]
+        assert log == [call for stem in "abc"
+                       for call in [("read", os.path.join("pred", f"{stem}.pgm")),
+                                    ("read", os.path.join("gt", f"{stem}.pgm"))] + scored]
 
     def test_pairs_by_stem_and_skips_unpaired(self, tmp_path):
         pd = tmp_path / "pred"
