@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from .config import _require_integer, parse_config_file
 from .data import generate_dataset, write_dataset
 from .metrics import evaluate_dataset, report_csv, report_table
 from .nn import placeholder_init
-from .tensor import DsuError
+from .tensor import ConfigError, DsuError
 
 
 def _cmd_gen_data(args):
@@ -57,6 +58,9 @@ def _cmd_ablate(args):
     run = parse_config_file(args.config)
     if args.out_dir:
         run = replace(run, out_dir=args.out_dir)
+    table_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(table_dir):  # checked now, not after the sweep
+        raise ConfigError(f"--out {args.out!r}: directory {table_dir!r} does not exist")
     rows = harness.ablate(run)
     table = harness.format_ablation_table(rows)
     with open(args.out, "w", encoding="utf-8") as f:

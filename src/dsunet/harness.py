@@ -151,13 +151,13 @@ def _train_step(model, pyramid, gt, scale, where):
     return row
 
 
-def _check_samples(run, samples):
+def _check_samples(run, samples, first=0):
     """ConfigError for an empty sample list, ShapeError for a sample whose
-    images or mask the profile rejects."""
+    images or mask the profile rejects, named by its position ``first + i``."""
     if not samples:
         raise ConfigError("no training samples: n_train is 0, the data_dir "
                           "manifest lists none, or the given sample list is empty")
-    for i, s in enumerate(samples):
+    for i, s in enumerate(samples, first):
         run.model.resolved_profile.check(
             {"image_main": s.image_main, "image_aux": s.image_aux, "gt": s.gt},
             f"sample {i} ({s.id}): ")
@@ -297,14 +297,16 @@ def ablate(base_run: RunConfig):
 
     The dataset is loaded or generated once for the whole sweep, and checked
     before any variant trains: training samples as for :func:`train`, then
-    that there is a validation sample to score.  Returns rows of (variant,
-    means dict); the proposed configuration ("full") is produced last.
+    that there is a validation sample to score and that the profile takes
+    each one.  Returns rows of (variant, means dict); the proposed
+    configuration ("full") is produced last.
     """
     train_samples, val_samples = load_or_generate(base_run)
     _check_samples(base_run, train_samples)
     if not val_samples:
         raise ConfigError("no validation samples: n_val is 0, or the data_dir "
                           "manifest lists none after the first n_train")
+    _check_samples(base_run, val_samples, first=len(train_samples))
     rows = []
     for variant in VARIANTS:
         run = replace(base_run,

@@ -812,23 +812,17 @@ class TestCLI:
                 f"dsu gen-data: error: {flag} must be >= {low} and finite, got {value}")
         assert not data.exists()
 
-    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
-        bad = str(tmp_path / "bad.txt")
-        with open(bad, "w") as f:
-            f.write("momentum = 0.9\n")
-        assert cli_main(["train", "--config", bad]) == 2
-        assert self._one_error_line(capsys, "train") == (
-            "dsu train: error: line 1: unknown key 'momentum'")
-
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         """A toy dataset, one with a bad manifest line, one with a manifest
-        that is not UTF-8, a large-profile one, a toy checkpoint and one whose
-        config sets lr = nan."""
+        that is not UTF-8, a large-profile one, a toy one whose second sample
+        is large-profile, a toy checkpoint and one whose config sets lr = nan."""
         root = tmp_path_factory.mktemp("inputs")
         for name, profile in (("toy", "toy"), ("large", "large")):
             samples, seeds = dsunet.data.generate_dataset(1, "sod", profile, 0)
             write_dataset(str(root / name), samples, seeds)
+        write_dataset(str(root / "mixed"), [generate_sample(0, "sod", "toy"),
+                                            generate_sample(1, "sod", "large")], [0, 1])
         shutil.copytree(root / "toy", root / "bad")
         (root / "bad" / "manifest.txt").write_text("sod_000000 0\nsod_000001\n")
         shutil.copytree(root / "toy", root / "latin")
@@ -840,63 +834,95 @@ class TestCLI:
         write_container(str(root / "nan.dsut"), tensors, magic=MAGIC_CHECKPOINT)
         return root
 
-    # (name, command, argv, config file text or None, a part of the one line)
+    # Every input `dsu` rejects: (name, command, argv, config file text or
+    # None, the whole message after "dsu <command>: error: ", paths that must
+    # not exist afterwards).  CI runs this table against the installed package.
+    LARGE = "image_main shape (3, 352, 352): 'image_main' of profile 'toy' is (3, 96, 96)"
     REJECTED = [
+        ("retired-changed", "params", ["--config", "{cfg}"], "pixel_weighted_loss = false\n",
+         "line 1: setting 'pixel_weighted_loss' was removed; it may only hold its "
+         "old value true", ()),
+        ("retired-width", "params", ["--config", "{cfg}"], "reduced_channels = 32\n",
+         "line 1: setting 'reduced_channels' was removed; it may only hold its old "
+         "value 64", ()),
+        ("bad-value", "params", ["--config", "{cfg}"], "lr = fast\n",
+         "line 1: bad value for lr: 'fast'", ()),
+        ("retired-twice", "params", ["--config", "{cfg}"], "beta2_f = 0.3\nbeta2_f = 0.3\n",
+         "line 2: key 'beta2_f' already set on line 1", ()),
+        ("params-lr-nan", "params", ["--config", "{cfg}"], "epochs = 2\nlr = nan\n",
+         "line 2: lr must be > 0 and finite, got nan", ()),
         ("lr-nan", "train", ["--config", "{cfg}"], "lr = nan\n",
-         "line 1: lr must be > 0 and finite, got nan"),
-        ("unknown-key", "train", ["--config", "{cfg}"], "n_val = 0\nmomentum = 0.9\n",
-         "line 2: unknown key 'momentum'"),
+         "line 1: lr must be > 0 and finite, got nan", ()),
+        ("unknown-key", "train", ["--config", "{cfg}"], "momentum = 0.9\n",
+         "line 1: unknown key 'momentum'", ()),
         ("out-hash", "train", ["--config", "{cfg}", "--out", "{tmp}/run#2"],
-         "out_dir = {tmp}/out\n", "out_dir '{tmp}/run#2' cannot be written"),
-        ("n_train-0", "train", ["--config", "{cfg}"],
-         "n_train = 0\nout_dir = {tmp}/out\n", "no training samples: n_train is 0"),
+         "epochs = 1\nbatch = 2\nn_train = 2\nn_val = 0\ndata_dir = {inputs}/toy\n"
+         "out_dir = {tmp}/run\n",
+         "out_dir '{tmp}/run#2' cannot be written to a config line: it may hold no "
+         "'#', line break, or leading or trailing whitespace", ("run#2", "run")),
+        ("n_train-0", "train", ["--config", "{cfg}"], "n_train = 0\nout_dir = {tmp}/out\n",
+         "no training samples: n_train is 0, the data_dir manifest lists none, or "
+         "the given sample list is empty", ("out",)),
         ("manifest-line", "train", ["--config", "{cfg}"],
          "n_train = 1\nn_val = 0\ndata_dir = {inputs}/bad\nout_dir = {tmp}/out\n",
-         "{inputs}/bad/manifest.txt line 2: expected 'id seed', got 'sod_000001'"),
+         "{inputs}/bad/manifest.txt line 2: expected 'id seed', got 'sod_000001'",
+         ("out",)),
         ("manifest-not-utf8", "train", ["--config", "{cfg}"],
          "n_train = 1\nn_val = 0\ndata_dir = {inputs}/latin\nout_dir = {tmp}/out\n",
-         "{inputs}/latin/manifest.txt: not UTF-8 text"),
+         "{inputs}/latin/manifest.txt: not UTF-8 text", ("out",)),
         ("large-images", "predict",
          ["--ckpt", "{inputs}/toy.dsut", "--images", "{inputs}/large", "--out", "{tmp}/out"],
-         None, "image_main shape (3, 352, 352): 'image_main' of profile 'toy' is "
-               "(3, 96, 96)"),
+         None, LARGE, ("out",)),
         ("large-dataset", "train", ["--config", "{cfg}"],
-         "n_train = 1\nn_val = 0\ndata_dir = {inputs}/large\nout_dir = {tmp}/out\n",
-         "sample 0 (sod_000000): image_main shape (3, 352, 352): 'image_main' of "
-         "profile 'toy' is (3, 96, 96)"),
+         "epochs = 1\nn_train = 1\nn_val = 0\ndata_dir = {inputs}/large\n"
+         "out_dir = {tmp}/out\n", f"sample 0 (sod_000000): {LARGE}", ("out",)),
         ("missing-ckpt", "predict",
-         ["--ckpt", "{tmp}/none.dsut", "--images", "{inputs}/toy", "--out", "{tmp}/p"],
-         None, "No such file or directory: '{tmp}/none.dsut'"),
+         ["--ckpt", "{tmp}/none.dsut", "--images", "{inputs}/toy", "--out", "{tmp}/out"],
+         None, "[Errno 2] No such file or directory: '{tmp}/none.dsut'", ("out",)),
         ("ckpt-config-nan", "predict",
          ["--ckpt", "{inputs}/nan.dsut", "--images", "{inputs}/toy", "--out", "{tmp}/out"],
-         None, "{inputs}/nan.dsut: line 1: lr must be > 0 and finite, got nan"),
+         None, "{inputs}/nan.dsut: line 1: lr must be > 0 and finite, got nan", ("out",)),
         ("pgm-ckpt", "predict",
          ["--ckpt", "{inputs}/toy/gt/sod_000000.pgm", "--images", "{inputs}/toy",
-          "--out", "{tmp}/p"],
-         None, "{inputs}/toy/gt/sod_000000.pgm: bad magic b'P5\\n9', expected b'DSUT'"),
+          "--out", "{tmp}/out"],
+         None, "{inputs}/toy/gt/sod_000000.pgm: bad magic b'P5\\n9', expected b'DSUT'",
+         ("out",)),
         ("no-common-stems", "eval",
          ["--pred", "{inputs}/toy/images-main", "--gt", "{inputs}/toy/gt",
           "--report", "{tmp}/r.csv"],
-         None, "no common stems between '{inputs}/toy/images-main' and "
-               "'{inputs}/toy/gt'"),
+         None, "no common stems between '{inputs}/toy/images-main' and '{inputs}/toy/gt'",
+         ("r.csv",)),
         ("gen-data-n-0", "gen-data", ["--out", "{tmp}/out", "--n", "0"], None,
-         "--n must be >= 1 and finite, got 0"),
+         "--n must be >= 1 and finite, got 0", ("out",)),
+        ("ablate-n_val-0", "ablate", ["--config", "{cfg}", "--out", "{tmp}/table.txt"],
+         "epochs = 1\nn_train = 2\nn_val = 0\nout_dir = {tmp}/sweep\n",
+         "no validation samples: n_val is 0, or the data_dir manifest lists none "
+         "after the first n_train", ("sweep", "table.txt")),
+        ("ablate-large-val", "ablate", ["--config", "{cfg}", "--out", "{tmp}/table.txt"],
+         "epochs = 1\nn_train = 1\nn_val = 1\ndata_dir = {inputs}/mixed\n"
+         "out_dir = {tmp}/sweep\n", f"sample 1 (sod_000001): {LARGE}",
+         ("sweep", "table.txt")),
+        ("ablate-out-missing", "ablate",
+         ["--config", "{cfg}", "--out", "{tmp}/missing/table.txt"],
+         "epochs = 1\nn_train = 1\nn_val = 1\nout_dir = {tmp}/sweep\n",
+         "--out '{tmp}/missing/table.txt': directory '{tmp}/missing' does not exist",
+         ("sweep", "missing")),
     ]
 
-    @pytest.mark.parametrize("name, command, argv, config, part", REJECTED,
+    @pytest.mark.parametrize("name, command, argv, config, message, absent", REJECTED,
                              ids=[r[0] for r in REJECTED])
     def test_rejected_input_is_one_line_and_exit_2(
-            self, name, command, argv, config, part, inputs, tmp_path, capsys):
+            self, name, command, argv, config, message, absent, inputs, tmp_path,
+            capsys):
         def fill(text):
             return text.format(tmp=tmp_path, inputs=inputs, cfg=tmp_path / "c.cfg")
 
         if config is not None:
             (tmp_path / "c.cfg").write_text(fill(config))
         assert cli_main([command] + [fill(a) for a in argv]) == 2
-        line = self._one_error_line(capsys, command)
-        assert fill(part) in line
-        # none of these leaves an output directory behind
-        assert not (tmp_path / "out").exists() and not (tmp_path / "run#2").exists()
+        assert self._one_error_line(capsys, command) == (
+            f"dsu {command}: error: {fill(message)}")
+        assert [p for p in absent if (tmp_path / p).exists()] == []
 
     def test_other_exceptions_keep_their_traceback(self, tmp_path, monkeypatch):
         # a fault in the code is not a rejected input: it propagates
