@@ -812,6 +812,14 @@ class TestCLI:
                 f"dsu gen-data: error: {flag} must be >= {low} and finite, got {value}")
         assert not data.exists()
 
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as f:
+            f.write("momentum = 0.9\n")
+        assert cli_main(["train", "--config", bad]) == 2
+        assert self._one_error_line(capsys, "train") == (
+            "dsu train: error: line 1: unknown key 'momentum'")
+
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         """A toy dataset, one with a bad manifest line, one with a manifest
